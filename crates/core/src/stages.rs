@@ -484,10 +484,7 @@ mod tests {
         let patterns = vec![Pattern::crowd(GrayImage::filled(4, 4, 0.3))];
         let generator = match FeatureGenerator::new_with_health(patterns, None, &health) {
             Ok(g) => g,
-            Err(e) => {
-                assert!(false, "generator build failed: {e}");
-                return;
-            }
+            Err(e) => panic!("generator build failed: {e}"),
         };
         let images = [GrayImage::filled(6, 6, 0.5)];
         let refs: Vec<&GrayImage> = images.iter().collect();

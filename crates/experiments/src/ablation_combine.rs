@@ -10,6 +10,7 @@ use ig_crowd::{CombineStrategy, CrowdWorkflow};
 use ig_synth::spec::DatasetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
 json_record! {
     struct Row {
@@ -22,7 +23,7 @@ json_record! {
 }
 
 /// Run the combination-strategy ablation.
-pub fn run(env: &ExpEnv) {
+pub fn run(env: &ExpEnv) -> ExitCode {
     let seed = env.seed();
     let mut report = Report::new("ablation_combine", &env.out);
     report.line(format!(
@@ -96,4 +97,5 @@ pub fn run(env: &ExpEnv) {
         rows.len()
     ));
     report.finish(&rows);
+    ExitCode::SUCCESS
 }

@@ -35,6 +35,7 @@ use ig_faults::Stage as FaultStage;
 use ig_runtime::{infallible, DiskStats, DiskStore, GenerateDataset};
 use ig_synth::spec::{DatasetKind, DatasetSpec};
 use std::path::Path;
+use std::process::ExitCode;
 use std::sync::Arc;
 
 json_record! {
@@ -49,7 +50,7 @@ json_record! {
 }
 
 /// Run the chaos experiment.
-pub fn run(env: &ExpEnv) {
+pub fn run(env: &ExpEnv) -> ExitCode {
     let mut report = Report::new("chaos", &env.out);
     report.line("Chaos: fault injection and recovery across the full pipeline");
     report.line(format!("{:<8} {:>8} {:>8}", "arm", "F1", "faults"));
@@ -122,6 +123,7 @@ pub fn run(env: &ExpEnv) {
         }
     }
     report.finish(&records);
+    ExitCode::SUCCESS
 }
 
 /// Datasets seeding the durable store in the durability arm: small and

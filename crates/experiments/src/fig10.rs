@@ -12,6 +12,7 @@ use ig_crowd::CrowdWorkflow;
 use ig_synth::spec::DatasetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
 json_record! {
     struct Point {
@@ -26,13 +27,14 @@ json_record! {
 /// our stamping simulacrum saturates without augmentation, so the sweep
 /// also runs KSDD, where the no-augmentation baseline leaves headroom and
 /// the paper's rising-then-plateauing shape is visible.
-pub fn run(env: &ExpEnv) {
+pub fn run(env: &ExpEnv) -> ExitCode {
     let mut report = Report::new("fig10", &env.out);
     let mut all_points = Vec::new();
     for kind in [DatasetKind::ProductStamping, DatasetKind::Ksdd] {
         run_for(env, kind, &mut report, &mut all_points);
     }
     report.finish(&all_points);
+    ExitCode::SUCCESS
 }
 
 fn run_for(env: &ExpEnv, kind: DatasetKind, report: &mut Report, all_points: &mut Vec<Point>) {

@@ -15,6 +15,7 @@ use ig_nn::lbfgs::LbfgsConfig;
 use ig_synth::spec::DatasetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
 json_record! {
     struct Row {
@@ -27,7 +28,7 @@ json_record! {
 }
 
 /// Run the Figure 11 reproduction.
-pub fn run(env: &ExpEnv) {
+pub fn run(env: &ExpEnv) -> ExitCode {
     let seed = env.seed();
     let mut report = Report::new("fig11", &env.out);
     report.line(format!(
@@ -150,4 +151,5 @@ pub fn run(env: &ExpEnv) {
         rows.len()
     ));
     report.finish(&rows);
+    ExitCode::SUCCESS
 }

@@ -15,6 +15,7 @@ use ig_imaging::GrayImage;
 use ig_synth::spec::DatasetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
 json_record! {
     struct Point {
@@ -35,7 +36,7 @@ const METHODS: [&str; 6] = [
 ];
 
 /// Run the Figure 9 reproduction.
-pub fn run(env: &ExpEnv) {
+pub fn run(env: &ExpEnv) -> ExitCode {
     let seed = env.seed();
     let scale = *env.scale();
     let mut report = Report::new("fig9", &env.out);
@@ -252,4 +253,5 @@ pub fn run(env: &ExpEnv) {
          (paper: on all five)"
     ));
     report.finish(&points);
+    ExitCode::SUCCESS
 }

@@ -62,6 +62,7 @@ use common::ExpEnv;
 use ig_core::{HealthReport, RunContext, ScalePlan};
 use ig_runtime::{Clock, DiskStore};
 use json::{Json, ToJson};
+use std::process::ExitCode;
 use std::sync::Arc;
 
 const USAGE: &str =
@@ -69,8 +70,10 @@ const USAGE: &str =
      [--scale tiny|quick|medium|paper|ooc] [--seed N] [--out DIR] [--no-memo] \
      [--store DIR] [--resume] [--budget BYTES] [--health-exit]";
 
-/// A driver: runs one experiment and writes its results.
-type Driver = fn(&ExpEnv);
+/// A driver: runs one experiment and writes its results. A failure it
+/// detects in its own output (as `ooc`'s bit-identity check) is its exit
+/// code.
+type Driver = fn(&ExpEnv) -> ExitCode;
 
 /// Every experiment by name, with its driver. `all` runs them in this
 /// order, every one but the last: `ooc`, the out-of-core streaming demo,
@@ -204,17 +207,17 @@ fn write_health_json(out_dir: &str, health: &HealthReport) {
     );
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = match parse_args(std::env::args().skip(1)) {
         Ok(Command::Run(a)) => a,
         Ok(Command::Help) => {
             println!("{USAGE}");
-            return;
+            return ExitCode::SUCCESS;
         }
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!("{USAGE}");
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
     };
     // Wall-clock deadlines are a driver concern: the runtime only ever
@@ -242,7 +245,7 @@ fn main() {
             }
             Err(e) => {
                 eprintln!("error: cannot open durable store at {dir}: {e}");
-                std::process::exit(2);
+                return ExitCode::from(2);
             }
         }
     }
@@ -251,14 +254,18 @@ fn main() {
         out: args.out.clone(),
     };
     let all = args.experiment == "all";
+    let mut status = ExitCode::SUCCESS;
     for &(name, driver) in &args.drivers {
         let started = std::time::Instant::now();
         if all {
             println!("\n===================== {name} =====================");
         }
-        driver(&env);
+        status = driver(&env);
         if all {
             println!("[{name} took {:.1}s]", started.elapsed().as_secs_f32());
+        }
+        if status != ExitCode::SUCCESS {
+            break;
         }
     }
     let store = env.ctx.store();
@@ -283,17 +290,21 @@ fn main() {
         "[health: {} fault(s), {} recovered, {} unrecovered -> {}/health.json]",
         summary.total_faults, summary.recovered, summary.unrecovered, env.out
     );
+    if status != ExitCode::SUCCESS {
+        return status;
+    }
     if args.health_exit {
         // 0 = clean, 3 = completed with every fault recovered, 4 = at
         // least one fault had no recovery action — "trust it", "inspect
         // the log", "rerun it".
         if summary.unrecovered > 0 {
-            std::process::exit(4);
+            return ExitCode::from(4);
         }
         if summary.total_faults > 0 {
-            std::process::exit(3);
+            return ExitCode::from(3);
         }
     }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

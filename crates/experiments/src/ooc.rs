@@ -30,6 +30,7 @@ use ig_runtime::infallible;
 use ig_synth::spec::DatasetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 use std::time::Instant;
 
 json_record! {
@@ -67,7 +68,7 @@ fn hwm_text(kb: Option<u64>) -> String {
     }
 }
 
-pub fn run(env: &ExpEnv) {
+pub fn run(env: &ExpEnv) -> ExitCode {
     let ctx = &env.ctx;
     let scale = ctx.scale();
     let budget = scale.memory_budget_bytes;
@@ -109,7 +110,7 @@ pub fn run(env: &ExpEnv) {
     if crowd.patterns.is_empty() {
         report.line("no crowd patterns extracted; nothing to stream");
         report.finish::<[u64]>(&[]);
-        return;
+        return ExitCode::SUCCESS;
     }
     let patterns = Pattern::wrap_all(crowd.patterns, PatternSource::Crowd);
 
@@ -121,7 +122,7 @@ pub fn run(env: &ExpEnv) {
         Err(e) => {
             report.line(format!("feature generator rejected the bank: {e}"));
             report.finish::<[u64]>(&[]);
-            return;
+            return ExitCode::SUCCESS;
         }
     };
     let dev_images: Vec<&GrayImage> = dev.images.iter().map(|l| &l.image).collect();
@@ -150,7 +151,7 @@ pub fn run(env: &ExpEnv) {
         Err(e) => {
             report.line(format!("training failed: {e}"));
             report.finish::<[u64]>(&[]);
-            return;
+            return ExitCode::SUCCESS;
         }
     };
     drop(dev_prepared);
@@ -228,6 +229,7 @@ pub fn run(env: &ExpEnv) {
     });
     if !bit_identical {
         eprintln!("error: streamed weak labels diverged from the monolithic pass");
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }

@@ -3,6 +3,7 @@
 
 use crate::common::{all_kinds, task_name, ExpEnv, Prepared, Report};
 use crate::json::json_record;
+use std::process::ExitCode;
 
 json_record! {
     struct Row {
@@ -18,7 +19,7 @@ json_record! {
 }
 
 /// Run the Table 1 reproduction.
-pub fn run(env: &ExpEnv) {
+pub fn run(env: &ExpEnv) -> ExitCode {
     let mut report = Report::new("table1", &env.out);
     report.line(format!(
         "Table 1 (reproduction, scale={}): dataset statistics",
@@ -63,4 +64,5 @@ pub fn run(env: &ExpEnv) {
         rows.push(row);
     }
     report.finish(&rows);
+    ExitCode::SUCCESS
 }

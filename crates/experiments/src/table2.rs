@@ -13,6 +13,7 @@ use ig_imaging::GrayImage;
 use ig_synth::spec::DatasetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
 json_record! {
     struct Cell {
@@ -30,7 +31,7 @@ const TARGETS: [DatasetKind; 4] = [
 ];
 
 /// Run the Table 2 reproduction.
-pub fn run(env: &ExpEnv) {
+pub fn run(env: &ExpEnv) -> ExitCode {
     let seed = env.seed();
     let mut report = Report::new("table2", &env.out);
     report.line(format!(
@@ -152,4 +153,5 @@ pub fn run(env: &ExpEnv) {
          (paper: ImageNet wins on 4/4)"
     ));
     report.finish(&cells);
+    ExitCode::SUCCESS
 }

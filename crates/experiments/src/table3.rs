@@ -8,6 +8,7 @@ use ig_crowd::{CrowdWorkflow, WorkerModel};
 use ig_synth::spec::DatasetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
 json_record! {
     struct Row {
@@ -26,7 +27,7 @@ const DATASETS: [DatasetKind; 3] = [
 ];
 
 /// Run the Table 3 reproduction.
-pub fn run(env: &ExpEnv) {
+pub fn run(env: &ExpEnv) -> ExitCode {
     let seed = env.seed();
     let mut report = Report::new("table3", &env.out);
     report.line(format!(
@@ -105,4 +106,5 @@ pub fn run(env: &ExpEnv) {
          (paper: full workflow best on scratch & stamping, competitive on bubble)"
     ));
     report.finish(&rows);
+    ExitCode::SUCCESS
 }

@@ -4,6 +4,7 @@
 use crate::common::{all_kinds, run_inspector_gadget, ExpEnv, Prepared, Report};
 use crate::json::json_record;
 use ig_augment::AugmentMethod;
+use std::process::ExitCode;
 
 json_record! {
     struct Row {
@@ -16,7 +17,7 @@ json_record! {
 }
 
 /// Run the Table 4 reproduction.
-pub fn run(env: &ExpEnv) {
+pub fn run(env: &ExpEnv) -> ExitCode {
     let seed = env.seed();
     let mut report = Report::new("table4", &env.out);
     report.line(format!(
@@ -65,4 +66,5 @@ pub fn run(env: &ExpEnv) {
         rows.len()
     ));
     report.finish(&rows);
+    ExitCode::SUCCESS
 }

@@ -12,6 +12,7 @@ use ig_imaging::GrayImage;
 use ig_synth::spec::DatasetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
 json_record! {
     struct Row {
@@ -24,7 +25,7 @@ json_record! {
 }
 
 /// Run the Table 5 reproduction.
-pub fn run(env: &ExpEnv) {
+pub fn run(env: &ExpEnv) -> ExitCode {
     let seed = env.seed();
     let mut report = Report::new("table5", &env.out);
     report.line(format!(
@@ -163,6 +164,7 @@ pub fn run(env: &ExpEnv) {
         rows.len()
     ));
     report.finish(&rows);
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@ use crate::common::{all_kinds, run_inspector_gadget, ExpEnv, Prepared, Report};
 use crate::json::json_record;
 use ig_augment::AugmentMethod;
 use ig_eval::error_analysis::{categorize_errors, SampleDiagnostics};
+use std::process::ExitCode;
 
 json_record! {
     struct Row {
@@ -18,7 +19,7 @@ json_record! {
 }
 
 /// Run the Table 6 reproduction.
-pub fn run(env: &ExpEnv) {
+pub fn run(env: &ExpEnv) -> ExitCode {
     let seed = env.seed();
     let mut report = Report::new("table6", &env.out);
     report.line(format!(
@@ -105,4 +106,5 @@ pub fn run(env: &ExpEnv) {
         rows.len()
     ));
     report.finish(&rows);
+    ExitCode::SUCCESS
 }

@@ -5,37 +5,6 @@
 
 use crate::GrayImage;
 
-/// Horizontal-then-vertical box blur with the given radius (window size
-/// `2*radius + 1`), replicate padding. Radius 0 is the identity.
-pub fn box_blur(src: &GrayImage, radius: usize) -> GrayImage {
-    if radius == 0 || src.is_empty() {
-        return src.clone();
-    }
-    let horizontal = blur_rows(src, radius);
-    blur_rows(&horizontal.transpose(), radius).transpose()
-}
-
-fn blur_rows(src: &GrayImage, radius: usize) -> GrayImage {
-    let (w, h) = src.dims();
-    let mut out = GrayImage::new(w, h);
-    let norm = 1.0 / (2 * radius + 1) as f32;
-    for y in 0..h {
-        let row = src.row(y);
-        // Sliding-window sum with replicate padding.
-        let mut acc = 0.0f32;
-        for i in -(radius as isize)..=(radius as isize) {
-            acc += row[i.clamp(0, w as isize - 1) as usize];
-        }
-        for (x, out_px) in out.row_mut(y).iter_mut().enumerate() {
-            *out_px = acc * norm;
-            let leaving = (x as isize - radius as isize).clamp(0, w as isize - 1) as usize;
-            let entering = (x as isize + radius as isize + 1).clamp(0, w as isize - 1) as usize;
-            acc += row[entering] - row[leaving];
-        }
-    }
-    out
-}
-
 /// Separable Gaussian blur with standard deviation `sigma`, replicate
 /// padding. `sigma <= 0` is the identity.
 pub fn gaussian_blur(src: &GrayImage, sigma: f32) -> GrayImage {
@@ -49,12 +18,51 @@ pub fn gaussian_blur(src: &GrayImage, sigma: f32) -> GrayImage {
 /// [`gaussian_kernel`]. Callers that blur many images with the same sigma
 /// (the pyramid builder blurs every level) hoist the kernel allocation out
 /// of their loop and pass it here — the hot-loop-alloc (H1) remedy.
+///
+/// Each output sums its taps in kernel order, starting from `0.0`, with
+/// replicate padding — bit-identical to convolving the rows, transposing,
+/// convolving the rows again and transposing back (the oracle in the
+/// tests). Both passes run tap by tap over whole rows, so the inner loops
+/// are straight multiply-adds over contiguous pixels: the row pass reads
+/// each row through a copy padded with its `r` end pixels at each side,
+/// and the column pass adds whole clamped source rows into each output
+/// row, with no transpose.
 pub fn gaussian_blur_with_kernel(src: &GrayImage, kernel: &[f32]) -> GrayImage {
     if kernel.len() <= 1 || src.is_empty() {
         return src.clone();
     }
-    let horizontal = convolve_rows(src, kernel);
-    convolve_rows(&horizontal.transpose(), kernel).transpose()
+    let (w, h) = src.dims();
+    let r = kernel.len() / 2;
+    let mut horizontal = GrayImage::new(w, h);
+    let mut padded = Vec::with_capacity(w + kernel.len() - 1);
+    for y in 0..h {
+        let row = src.row(y);
+        let (first, last) = (row.first().copied(), row.last().copied());
+        padded.clear();
+        padded.extend(std::iter::repeat_n(first.unwrap_or(0.0), r));
+        padded.extend_from_slice(row);
+        padded.extend(std::iter::repeat_n(
+            last.unwrap_or(0.0),
+            kernel.len() - 1 - r,
+        ));
+        let out = horizontal.row_mut(y);
+        for (k, &kv) in kernel.iter().enumerate() {
+            for (o, &p) in out.iter_mut().zip(&padded[k..]) {
+                *o += kv * p;
+            }
+        }
+    }
+    let mut out = GrayImage::new(w, h);
+    for y in 0..h {
+        let acc = out.row_mut(y);
+        for (k, &kv) in kernel.iter().enumerate() {
+            let sy = (y + k).saturating_sub(r).min(h - 1);
+            for (o, &p) in acc.iter_mut().zip(horizontal.row(sy)) {
+                *o += kv * p;
+            }
+        }
+    }
+    out
 }
 
 /// Build a normalized 1-D Gaussian kernel covering ±3 sigma.
@@ -73,7 +81,10 @@ pub fn gaussian_kernel(sigma: f32) -> Vec<f32> {
 }
 
 /// Convolve each row with a 1-D kernel (odd length), replicate padding.
-pub fn convolve_rows(src: &GrayImage, kernel: &[f32]) -> GrayImage {
+/// With a transpose on either side of the second pass, the oracle of
+/// [`gaussian_blur_with_kernel`].
+#[cfg(test)]
+fn convolve_rows(src: &GrayImage, kernel: &[f32]) -> GrayImage {
     let (w, h) = src.dims();
     let radius = kernel.len() / 2;
     let mut out = GrayImage::new(w, h);
@@ -115,31 +126,59 @@ pub fn convolve2d(src: &GrayImage, kernel: &[f32], kw: usize, kh: usize) -> Gray
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ig_check::{ensure, properties};
+    use rand::Rng;
 
-    #[test]
-    fn box_blur_radius_zero_is_identity() {
-        let img = GrayImage::from_fn(5, 5, |x, y| (x + y) as f32);
-        assert_eq!(box_blur(&img, 0), img);
+    /// The transpose blur `gaussian_blur_with_kernel` replaced: row pass,
+    /// transpose, row pass, transpose back.
+    fn transposed_blur(src: &GrayImage, kernel: &[f32]) -> GrayImage {
+        let horizontal = convolve_rows(src, kernel);
+        convolve_rows(&horizontal.transpose(), kernel).transpose()
     }
 
-    #[test]
-    fn box_blur_preserves_constant() {
-        let img = GrayImage::filled(8, 8, 0.7);
-        let blurred = box_blur(&img, 2);
-        for &p in blurred.pixels() {
-            assert!((p - 0.7).abs() < 1e-5);
+    /// The first pixel whose bits differ, as `(x, y, got, oracle)`.
+    fn first_bit_mismatch(got: &GrayImage, oracle: &GrayImage) -> Option<(usize, usize, f32, f32)> {
+        let (w, h) = oracle.dims();
+        (0..h)
+            .flat_map(|y| (0..w).map(move |x| (x, y)))
+            .map(|(x, y)| (x, y, got.get(x, y), oracle.get(x, y)))
+            .find(|&(_, _, a, b)| a.to_bits() != b.to_bits())
+    }
+
+    properties! {
+        cases = 128;
+
+        /// The row-wise blur carries the transpose oracle's exact bits,
+        /// for sigma 0.3 to 2.5 (3- to 17-tap kernels) on images from 1x1
+        /// up, including kernels wider and taller than the image.
+        fn blur_bit_identical_to_transpose_oracle(g) {
+            let side = |g: &mut ig_check::Gen| {
+                if g.gen_bool(0.25) { g.gen_range(1usize..4) } else { g.gen_range(1usize..48) }
+            };
+            let (w, h) = (side(g), side(g));
+            let sigma = g.gen_range(0.3f32..=2.5);
+            let img = GrayImage::from_fn(w, h, |_, _| g.gen_range(-1.0f32..2.0));
+            let kernel = gaussian_kernel(sigma);
+            let got = gaussian_blur_with_kernel(&img, &kernel);
+            ensure!(got.dims() == (w, h), "dims {:?}", got.dims());
+            let mismatch = first_bit_mismatch(&got, &transposed_blur(&img, &kernel));
+            ensure!(mismatch.is_none(), "{w}x{h} sigma={sigma}: {mismatch:?}");
         }
     }
 
     #[test]
-    fn box_blur_smooths_impulse() {
-        let mut img = GrayImage::new(7, 7);
-        img.set(3, 3, 49.0);
-        let blurred = box_blur(&img, 1);
-        // A 3x3 box spreads the impulse over 9 pixels.
-        assert!((blurred.get(3, 3) - 49.0 / 9.0).abs() < 1e-4);
-        assert!((blurred.get(2, 2) - 49.0 / 9.0).abs() < 1e-4);
-        assert!(blurred.get(0, 0).abs() < 1e-6);
+    fn blur_matches_transpose_oracle_on_every_small_size() {
+        let kernels = [0.3f32, 0.5, 0.6, 1.0, 2.5].map(gaussian_kernel);
+        for w in 1..=20 {
+            for h in 1..=20 {
+                let img = GrayImage::from_fn(w, h, |x, y| ((x * 7 + y * 13) % 11) as f32 / 10.0);
+                for kernel in &kernels {
+                    let got = gaussian_blur_with_kernel(&img, kernel);
+                    let mismatch = first_bit_mismatch(&got, &transposed_blur(&img, kernel));
+                    assert_eq!(mismatch, None, "{w}x{h}, {} taps", kernel.len());
+                }
+            }
+        }
     }
 
     #[test]
@@ -222,7 +261,6 @@ mod tests {
     #[test]
     fn blur_on_single_pixel_image() {
         let img = GrayImage::filled(1, 1, 0.5);
-        assert_eq!(box_blur(&img, 3).get(0, 0), 0.5);
         assert!((gaussian_blur(&img, 2.0).get(0, 0) - 0.5).abs() < 1e-6);
     }
 }

@@ -24,8 +24,10 @@ fn smoothstep(t: f32) -> f32 {
 }
 
 /// Single-octave value noise at a continuous point with the given lattice
-/// `frequency` (lattice cells per pixel).
-pub fn value_noise(seed: u64, x: f32, y: f32, frequency: f32) -> f32 {
+/// `frequency` (lattice cells per pixel). The per-pixel oracle of
+/// [`fbm_image`]'s octave pass.
+#[cfg(test)]
+fn value_noise(seed: u64, x: f32, y: f32, frequency: f32) -> f32 {
     let fx = x * frequency;
     let fy = y * frequency;
     let x0 = fx.floor();
@@ -43,9 +45,11 @@ pub fn value_noise(seed: u64, x: f32, y: f32, frequency: f32) -> f32 {
     top + (bot - top) * ty
 }
 
-/// Fractional Brownian motion: `octaves` octaves of value noise with
-/// per-octave gain 0.5 and lacunarity 2, normalized to `[0, 1]`.
-pub fn fbm(seed: u64, x: f32, y: f32, base_frequency: f32, octaves: usize) -> f32 {
+/// Fractional Brownian motion at one point: `octaves` octaves of value
+/// noise with per-octave gain 0.5 and lacunarity 2, normalized to
+/// `[0, 1]`. The per-pixel oracle of [`fbm_image`].
+#[cfg(test)]
+fn fbm(seed: u64, x: f32, y: f32, base_frequency: f32, octaves: usize) -> f32 {
     let mut amplitude = 1.0f32;
     let mut frequency = base_frequency;
     let mut total = 0.0f32;
@@ -59,7 +63,19 @@ pub fn fbm(seed: u64, x: f32, y: f32, base_frequency: f32, octaves: usize) -> f3
     total / norm
 }
 
-/// Fill an image with fBm noise mapped to `[lo, hi]`.
+/// Fill an image with fBm noise mapped to `[lo, hi]`: `octaves` octaves of
+/// value noise at pixel centres `(x, y)`, with per-octave gain 0.5 and
+/// lacunarity 2, normalized to `[0, 1]` before the mapping.
+///
+/// Every pixel is bit-identical to evaluating the noise at that pixel
+/// alone (the `fbm` oracle in the tests): the same f32 expressions run in
+/// the same order, and only the work that does not depend on the pixel is
+/// hoisted. Per octave, the column terms (lattice cell and smoothstep
+/// weight) are computed once per column, the row terms once per row, and
+/// the two lattice rows are hashed and interpolated along x only when the
+/// row's lattice cell changes — at the frequencies the generators use
+/// that is once every several rows, so a pixel costs a lerp and an add.
+/// Octaves accumulate into the image buffer in octave order.
 pub fn fbm_image(
     seed: u64,
     width: usize,
@@ -69,9 +85,91 @@ pub fn fbm_image(
     lo: f32,
     hi: f32,
 ) -> GrayImage {
-    GrayImage::from_fn(width, height, |x, y| {
-        lo + (hi - lo) * fbm(seed, x as f32, y as f32, base_frequency, octaves)
-    })
+    let mut img = GrayImage::new(width, height);
+    let mut scratch = OctaveScratch::default();
+    let mut amplitude = 1.0f32;
+    let mut frequency = base_frequency;
+    let mut norm = 0.0f32;
+    for octave in 0..octaves.max(1) {
+        let octave_seed = seed.wrapping_add(octave as u64 * 101);
+        scratch.add_octave(&mut img, octave_seed, frequency, amplitude);
+        norm += amplitude;
+        amplitude *= 0.5;
+        frequency *= 2.0;
+    }
+    img.map_in_place(|total| lo + (hi - lo) * (total / norm));
+    img
+}
+
+/// Buffers of one value-noise octave, reused across octaves.
+#[derive(Debug, Default)]
+struct OctaveScratch {
+    /// Per column: the lattice cell `xi` and the smoothstep weight `tx`.
+    cols: Vec<(i64, f32)>,
+    /// The lattice cells the columns read: `xi_min ..` for `cells` cells.
+    xi_min: i64,
+    cells: usize,
+    /// One lattice row's hashes, cell `xi_min` first.
+    lattice: Vec<f32>,
+    /// Per column: lattice rows `yi` (`top`) and `yi + 1` (`bot`)
+    /// interpolated along x.
+    top: Vec<f32>,
+    bot: Vec<f32>,
+}
+
+impl OctaveScratch {
+    /// Add `amplitude *` one octave of value noise at `frequency` to every
+    /// pixel of `img`.
+    fn add_octave(&mut self, img: &mut GrayImage, seed: u64, frequency: f32, amplitude: f32) {
+        self.cols.clear();
+        self.cols.extend((0..img.width()).map(|x| {
+            let fx = x as f32 * frequency;
+            let x0 = fx.floor();
+            (x0 as i64, smoothstep(fx - x0))
+        }));
+        self.xi_min = self.cols.iter().map(|c| c.0).min().unwrap_or(0);
+        let xi_max = self.cols.iter().map(|c| c.0).max().unwrap_or(0);
+        // Cells `xi_min ..= xi_max + 1`: every column reads `xi` and `xi + 1`.
+        self.cells = (xi_max - self.xi_min) as usize + 2;
+        let mut cached: Option<i64> = None;
+        for y in 0..img.height() {
+            let fy = y as f32 * frequency;
+            let y0 = fy.floor();
+            let ty = smoothstep(fy - y0);
+            let yi = y0 as i64;
+            if cached != Some(yi) {
+                if cached == Some(yi.wrapping_sub(1)) {
+                    // Row `yi` was the previous cell's bottom row.
+                    std::mem::swap(&mut self.top, &mut self.bot);
+                } else {
+                    self.lerp_row(seed, yi, false);
+                }
+                self.lerp_row(seed, yi.wrapping_add(1), true);
+                cached = Some(yi);
+            }
+            let lerped = self.top.iter().zip(&self.bot);
+            for (px, (&top, &bot)) in img.row_mut(y).iter_mut().zip(lerped) {
+                *px += amplitude * (top + (bot - top) * ty);
+            }
+        }
+    }
+
+    /// Hash lattice row `yi` over the cells the columns read, then
+    /// interpolate it along x at every column into `bot` or `top`.
+    fn lerp_row(&mut self, seed: u64, yi: i64, bottom: bool) {
+        let xi_min = self.xi_min;
+        self.lattice.clear();
+        self.lattice
+            .extend((0..self.cells).map(|j| hash01(seed, xi_min + j as i64, yi)));
+        let lattice = &self.lattice;
+        let out = if bottom { &mut self.bot } else { &mut self.top };
+        out.clear();
+        out.extend(self.cols.iter().map(|&(xi, tx)| {
+            let j = (xi - xi_min) as usize;
+            let (v0, v1) = (lattice[j], lattice[j + 1]);
+            v0 + (v1 - v0) * tx
+        }));
+    }
 }
 
 /// Per-pixel white noise image in `[lo, hi]`.
@@ -91,14 +189,105 @@ pub fn band_image(
     lo: f32,
     hi: f32,
 ) -> GrayImage {
-    GrayImage::from_fn(width, height, |x, _| {
-        lo + (hi - lo) * value_noise(seed, x as f32, 0.0, band_frequency)
-    })
+    // One octave of fBm on a single row is value noise at `y = 0`.
+    let band = fbm_image(seed, width, 1, band_frequency, 1, lo, hi);
+    GrayImage::from_fn(width, height, |x, _| band.get(x, 0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ig_check::{ensure, properties};
+    use rand::Rng;
+
+    /// The first pixel of `img` whose bits differ from the per-pixel
+    /// oracle `lo + (hi - lo) * fbm(..)`, as `(x, y, got, oracle)`.
+    fn first_fbm_mismatch(
+        img: &GrayImage,
+        seed: u64,
+        base_frequency: f32,
+        octaves: usize,
+        (lo, hi): (f32, f32),
+    ) -> Option<(usize, usize, f32, f32)> {
+        let (w, h) = img.dims();
+        (0..h)
+            .flat_map(|y| (0..w).map(move |x| (x, y)))
+            .map(|(x, y)| {
+                let v = fbm(seed, x as f32, y as f32, base_frequency, octaves);
+                (x, y, img.get(x, y), lo + (hi - lo) * v)
+            })
+            .find(|&(_, _, got, oracle)| got.to_bits() != oracle.to_bits())
+    }
+
+    /// A side length that is 1 a quarter of the time.
+    fn side(g: &mut ig_check::Gen, max: usize) -> usize {
+        if g.gen_bool(0.25) {
+            1
+        } else {
+            g.gen_range(1..=max)
+        }
+    }
+
+    properties! {
+        cases = 128;
+
+        /// `fbm_image` carries the per-pixel oracle's exact bits, from
+        /// 1x1 images up, at lattice frequencies from one cell per 200 px
+        /// to two cells per pixel, for 0 (treated as 1) to 5 octaves.
+        fn fbm_image_bit_identical_to_per_pixel_fbm(g) {
+            let (w, h) = (side(g, 40), side(g, 40));
+            let frequency = g.gen_range(0.005f32.ln()..2.0f32.ln()).exp();
+            let octaves = g.gen_range(0usize..=5);
+            let seed = g.gen::<u64>();
+            let lo = g.gen_range(-1.0f32..1.0);
+            let hi = lo + g.gen_range(0.0f32..2.0);
+            let img = fbm_image(seed, w, h, frequency, octaves, lo, hi);
+            ensure!(img.dims() == (w, h), "dims {:?}", img.dims());
+            let mismatch = first_fbm_mismatch(&img, seed, frequency, octaves, (lo, hi));
+            ensure!(
+                mismatch.is_none(),
+                "{w}x{h} f={frequency} octaves={octaves}: {mismatch:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fbm_image_matches_oracle_on_generator_parameters() {
+        // The frequency/octave pairs the synthetic generators use, and the
+        // band pattern's single octave, on strip- and square-shaped images.
+        let params = [
+            (0.01, 2),
+            (0.015, 2),
+            (0.06, 4),
+            (0.08, 3),
+            (0.15, 3),
+            (0.15, 1),
+            (0.2, 3),
+            (0.8, 1),
+        ];
+        for (frequency, octaves) in params {
+            for (w, h) in [(1, 1), (1, 37), (53, 1), (125, 64), (64, 125), (97, 21)] {
+                let img = fbm_image(19, w, h, frequency, octaves, 0.35, 0.55);
+                let mismatch = first_fbm_mismatch(&img, 19, frequency, octaves, (0.35, 0.55));
+                assert_eq!(mismatch, None, "{w}x{h} f={frequency} octaves={octaves}");
+            }
+        }
+    }
+
+    #[test]
+    fn band_image_is_value_noise_along_x() {
+        let img = band_image(5, 31, 3, 0.8, -0.04, 0.04);
+        for x in 0..31 {
+            let oracle = -0.04 + (0.04 - -0.04) * value_noise(5, x as f32, 0.0, 0.8);
+            assert_eq!(img.get(x, 2).to_bits(), oracle.to_bits(), "column {x}");
+        }
+    }
+
+    #[test]
+    fn fbm_image_of_empty_dims_is_empty() {
+        assert!(fbm_image(1, 0, 5, 0.1, 2, 0.0, 1.0).is_empty());
+        assert!(fbm_image(1, 5, 0, 0.1, 2, 0.0, 1.0).is_empty());
+    }
 
     #[test]
     fn noise_is_deterministic() {

@@ -101,6 +101,11 @@ impl PreparedImage {
         self.pyramid.num_levels()
     }
 
+    /// Every cached pyramid level, full resolution first.
+    pub fn levels(&self) -> &[GrayImage] {
+        self.pyramid.levels()
+    }
+
     /// The padded forward transform of pyramid level `lvl`, built on
     /// first use and shared by every pattern scanned over this image.
     /// FFT plans come first (their lock is released before the spectrum

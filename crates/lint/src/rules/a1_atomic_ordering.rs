@@ -104,8 +104,7 @@ fn while_cond_spans(ctx: &FileContext, fn_span: Span) -> Vec<Span> {
             continue;
         }
         let mut depth = 0i32;
-        for j in i + 1..hi {
-            let t = &toks[j];
+        for (j, t) in toks.iter().enumerate().take(hi).skip(i + 1) {
             if t.is_punct("(") || t.is_punct("[") {
                 depth += 1;
             } else if t.is_punct(")") || t.is_punct("]") {
@@ -243,25 +242,22 @@ pub fn check(ctxs: &[FileContext], sy: &Symbols, topo: &ThreadTopology, out: &mu
                             );
                         }
                     }
-                    "store" => {
-                        if escape.is_some_and(|caps| caps.contains(key.as_str())) {
-                            fire(
-                                out,
-                                format!(
-                                    "`Ordering::Relaxed` store to `{key}` publishes data across a \
+                    "store" if escape.is_some_and(|caps| caps.contains(key.as_str())) => {
+                        fire(
+                            out,
+                            format!(
+                                "`Ordering::Relaxed` store to `{key}` publishes data across a \
                                  spawn boundary (`{key}` is in a worker closure's escape set) — \
                                  Relaxed does not publish prior writes; use `Release` (with \
                                  `Acquire` loads), or bless the field declaration with \
                                  `ig-lint: allow(atomic-ordering) -- <why Relaxed is sound>`"
-                                ),
-                            );
-                        }
+                            ),
+                        );
                     }
-                    m if RMW_METHODS.contains(&m) => {
-                        if !discarded.contains(method_tok) {
-                            fire(
-                                out,
-                                format!(
+                    m if RMW_METHODS.contains(&m) && !discarded.contains(method_tok) => {
+                        fire(
+                            out,
+                            format!(
                                 "`Ordering::Relaxed` read-modify-write on `{key}` has its result \
                                  consumed — an RMW whose value is used is a synchronization \
                                  handshake, not a counter; if only uniqueness of the returned \
@@ -269,8 +265,7 @@ pub fn check(ctxs: &[FileContext], sy: &Symbols, topo: &ThreadTopology, out: &mu
                                  the field declaration with `ig-lint: allow(atomic-ordering) -- \
                                  <reason>`"
                             ),
-                            );
-                        }
+                        );
                     }
                     _ => {}
                 }

@@ -54,7 +54,7 @@ fn std_spawn_tok(e: &Expr) -> Option<usize> {
 
 /// The chain of method names from the innermost receiver outward, plus
 /// the root receiver expression: `h.join().ok()` → (["join", "ok"], `h`).
-fn chain<'a>(e: &'a Expr) -> (Vec<&'a str>, &'a Expr) {
+fn chain(e: &Expr) -> (Vec<&str>, &Expr) {
     match &e.kind {
         ExprKind::MethodCall { recv, method, .. } => {
             let (mut methods, root) = chain(recv);

@@ -106,7 +106,7 @@ pub fn check_workspace_rules(
     out.extend(raw.into_iter().filter(|d| {
         allows
             .get(d.path.as_str())
-            .map_or(true, |a| !a.is_allowed(&d.rule, d.line))
+            .is_none_or(|a| !a.is_allowed(&d.rule, d.line))
     }));
 }
 

@@ -151,7 +151,7 @@ fn fix_then_lint_is_idempotent_over_fixtures() {
     let mut planned = 0;
     for entry in std::fs::read_dir(&dir).expect("fixtures dir") {
         let path = entry.expect("entry").path();
-        if path.extension().map_or(true, |e| e != "rs") {
+        if path.extension().is_none_or(|e| e != "rs") {
             continue;
         }
         fixtures += 1;

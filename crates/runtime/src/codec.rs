@@ -435,10 +435,7 @@ mod tests {
         let bytes = dataset.to_bytes();
         let back = match Dataset::from_bytes(&bytes) {
             Some(d) => d,
-            None => {
-                assert!(false, "dataset payload failed to decode");
-                return;
-            }
+            None => panic!("dataset payload failed to decode"),
         };
         assert_eq!(back.name, dataset.name);
         assert_eq!(back.task, dataset.task);

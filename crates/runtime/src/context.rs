@@ -838,10 +838,7 @@ mod tests {
         }
         match DiskStore::open(root) {
             Ok(disk) => Arc::new(disk),
-            Err(e) => {
-                assert!(false, "open failed: {e}");
-                unreachable!()
-            }
+            Err(e) => panic!("open failed: {e}"),
         }
     }
 
@@ -889,20 +886,14 @@ mod tests {
         let path = disk.artifact_path(stage.id(), key);
         let mut bytes = match std::fs::read(&path) {
             Ok(b) => b,
-            Err(e) => {
-                assert!(false, "read failed: {e}");
-                return;
-            }
+            Err(e) => panic!("read failed: {e}"),
         };
         if let Some(last) = bytes.last_mut() {
             *last ^= 0x40;
         }
         match std::fs::write(&path, &bytes) {
             Ok(()) => {}
-            Err(e) => {
-                assert!(false, "write failed: {e}");
-                return;
-            }
+            Err(e) => panic!("write failed: {e}"),
         }
         let resumed = RunContext::new(7).with_disk(disk.clone());
         let recomputed = crate::infallible(resumed.run(&mut stage));
@@ -943,7 +934,7 @@ mod tests {
             for worker in workers {
                 match worker.join() {
                     Ok(out) => assert_eq!(out, vec![12, 14]),
-                    Err(_) => assert!(false, "worker panicked"),
+                    Err(_) => panic!("worker panicked"),
                 }
             }
         });
@@ -1009,7 +1000,7 @@ mod tests {
         let key = ctx.cache_key(&stage);
         match disk.begin_flight(stage.id(), key, None, ctx.health()) {
             Flight::Producer(claim) => assert!(claim.publish(b"old", None, ctx.health())),
-            Flight::Ready(_) => assert!(false, "fresh store cannot be ready"),
+            Flight::Ready(_) => panic!("fresh store cannot be ready"),
         }
         assert_eq!(*crate::infallible(ctx.run(&mut stage)), vec![10]);
         assert_eq!(calls.load(Ordering::Relaxed), 1);

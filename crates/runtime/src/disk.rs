@@ -437,27 +437,25 @@ impl DiskStore {
                     }
                     // Owner is dead (or the lock content is garbage, which
                     // no live writer produces): break it.
-                    match fs::remove_file(lock) {
-                        Ok(()) => {
-                            self.locks_broken.fetch_add(1, Ordering::Relaxed);
-                            // Store-root-relative name: the event detail
-                            // must not depend on where the store lives,
-                            // or resumed runs' serialized health events
-                            // would differ from the reference run's.
-                            let shown = lock.strip_prefix(&self.root).unwrap_or(lock);
-                            health.record(
-                                Stage::Store,
-                                FaultKind::StaleLock,
-                                RecoveryAction::BrokeStaleLock,
-                                format!(
-                                    "{} owned by dead pid {}",
-                                    shown.display(),
-                                    owner.map_or_else(|| "?".to_string(), |p| p.to_string()),
-                                ),
-                            );
-                        }
-                        // Racing breaker got there first; retry the create.
-                        Err(_) => {}
+                    // On failure a racing breaker got there first; retry
+                    // the create.
+                    if let Ok(()) = fs::remove_file(lock) {
+                        self.locks_broken.fetch_add(1, Ordering::Relaxed);
+                        // Store-root-relative name: the event detail
+                        // must not depend on where the store lives,
+                        // or resumed runs' serialized health events
+                        // would differ from the reference run's.
+                        let shown = lock.strip_prefix(&self.root).unwrap_or(lock);
+                        health.record(
+                            Stage::Store,
+                            FaultKind::StaleLock,
+                            RecoveryAction::BrokeStaleLock,
+                            format!(
+                                "{} owned by dead pid {}",
+                                shown.display(),
+                                owner.map_or_else(|| "?".to_string(), |p| p.to_string()),
+                            ),
+                        );
                     }
                 }
                 Err(e) => return Err(e),
@@ -470,12 +468,11 @@ impl DiskStore {
     /// simulating a writer that died without unlocking.
     fn plant_stale_lock(&self, path: &Path) {
         let lock = lock_path(path);
-        match OpenOptions::new().write(true).create_new(true).open(&lock) {
-            Ok(mut file) => match file.write_all(b"0") {
+        // A lock already present is itself the condition under test.
+        if let Ok(mut file) = OpenOptions::new().write(true).create_new(true).open(&lock) {
+            match file.write_all(b"0") {
                 Ok(()) | Err(_) => {} // empty lock content also reads as stale
-            },
-            // A lock already present is itself the condition under test.
-            Err(_) => {}
+            }
         }
     }
 
@@ -689,10 +686,7 @@ mod tests {
     fn open(tag: &str) -> DiskStore {
         match DiskStore::open(temp_root(tag)) {
             Ok(store) => store,
-            Err(e) => {
-                assert!(false, "open failed: {e}");
-                unreachable!()
-            }
+            Err(e) => panic!("open failed: {e}"),
         }
     }
 
@@ -742,10 +736,7 @@ mod tests {
         let path = store.artifact_path("test.stage", fp);
         let mut bytes = match fs::read(&path) {
             Ok(b) => b,
-            Err(e) => {
-                assert!(false, "read back failed: {e}");
-                return;
-            }
+            Err(e) => panic!("read back failed: {e}"),
         };
         // Flip one payload bit (last byte is inside the payload).
         if let Some(last) = bytes.last_mut() {
@@ -753,10 +744,7 @@ mod tests {
         }
         match fs::write(&path, &bytes) {
             Ok(()) => {}
-            Err(e) => {
-                assert!(false, "rewrite failed: {e}");
-                return;
-            }
+            Err(e) => panic!("rewrite failed: {e}"),
         }
         assert_eq!(store.load("test.stage", fp, &health), None);
         assert!(!path.exists(), "corrupt file must leave the serving path");
@@ -774,10 +762,7 @@ mod tests {
         let path = store.artifact_path("test.stage", fp);
         let full = match fs::read(&path) {
             Ok(b) => b,
-            Err(e) => {
-                assert!(false, "read back failed: {e}");
-                return;
-            }
+            Err(e) => panic!("read back failed: {e}"),
         };
         for cut in 0..full.len() {
             assert!(
@@ -878,26 +863,17 @@ mod tests {
         let dir = root.join("test-stage");
         match fs::create_dir_all(&dir) {
             Ok(()) => {}
-            Err(e) => {
-                assert!(false, "setup failed: {e}");
-                return;
-            }
+            Err(e) => panic!("setup failed: {e}"),
         }
         let dead = dir.join("0000.art.0.tmp"); // pid 0 is never alive
         let live = dir.join(format!("0001.art.{}.tmp", std::process::id()));
         match fs::write(&dead, b"x").and_then(|()| fs::write(&live, b"y")) {
             Ok(()) => {}
-            Err(e) => {
-                assert!(false, "setup failed: {e}");
-                return;
-            }
+            Err(e) => panic!("setup failed: {e}"),
         }
         match DiskStore::open(&root) {
             Ok(_) => {}
-            Err(e) => {
-                assert!(false, "open failed: {e}");
-                return;
-            }
+            Err(e) => panic!("open failed: {e}"),
         }
         assert!(!dead.exists(), "dead writer's tmp file must be swept");
         assert!(live.exists(), "live writer's tmp file must survive");
@@ -911,7 +887,7 @@ mod tests {
         assert!(publish(&store, fp, b"already here", None, &health));
         match store.begin_flight("test.stage", fp, None, &health) {
             Flight::Ready(bytes) => assert_eq!(bytes, b"already here"),
-            Flight::Producer(_) => assert!(false, "artifact on disk must short-circuit the claim"),
+            Flight::Producer(_) => panic!("artifact on disk must short-circuit the claim"),
         }
         assert_eq!(store.stats().flight_waits, 0, "no producer to wait on");
     }
@@ -923,10 +899,7 @@ mod tests {
         let fp = 13u64.fingerprint();
         let guard = match store.begin_flight("test.stage", fp, None, &health) {
             Flight::Producer(guard) => guard,
-            Flight::Ready(_) => {
-                assert!(false, "empty store cannot be ready");
-                return;
-            }
+            Flight::Ready(_) => panic!("empty store cannot be ready"),
         };
         let lock = lock_path(&store.artifact_path("test.stage", fp));
         assert!(
@@ -949,12 +922,12 @@ mod tests {
         let fp = 14u64.fingerprint();
         match store.begin_flight("test.stage", fp, None, &health) {
             Flight::Producer(guard) => drop(guard), // stage failed: publish nothing
-            Flight::Ready(_) => assert!(false, "empty store cannot be ready"),
+            Flight::Ready(_) => panic!("empty store cannot be ready"),
         }
         // The next claimant inherits production instead of waiting.
         match store.begin_flight("test.stage", fp, None, &health) {
             Flight::Producer(_) => {}
-            Flight::Ready(_) => assert!(false, "nothing was published"),
+            Flight::Ready(_) => panic!("nothing was published"),
         }
         assert_eq!(store.stats().flight_waits, 0, "no live producer to wait on");
     }
@@ -966,19 +939,15 @@ mod tests {
         let fp = 15u64.fingerprint();
         let path = store.artifact_path("test.stage", fp);
         let Some(dir) = path.parent() else {
-            assert!(false, "artifact path has no parent");
-            return;
+            panic!("artifact path has no parent");
         };
         match fs::create_dir_all(dir).and_then(|()| fs::write(lock_path(&path), "0")) {
             Ok(()) => {}
-            Err(e) => {
-                assert!(false, "setup failed: {e}");
-                return;
-            }
+            Err(e) => panic!("setup failed: {e}"),
         }
         match store.begin_flight("test.stage", fp, None, &health) {
             Flight::Producer(_) => {}
-            Flight::Ready(_) => assert!(false, "nothing was published"),
+            Flight::Ready(_) => panic!("nothing was published"),
         }
         assert_eq!(store.stats().locks_broken, 1);
         assert_eq!(health.count(FaultKind::StaleLock), 1);
@@ -1007,11 +976,11 @@ mod tests {
                 Flight::Ready(bytes) => assert_eq!(bytes, b"from producer"),
                 // The waiter must not inherit production from a live
                 // producer in this process (same pid, provably alive).
-                Flight::Producer(_) => assert!(false, "waiter stole a live claim"),
+                Flight::Producer(_) => panic!("waiter stole a live claim"),
             }
             match producer.join() {
                 Ok(published) => assert!(published, "producer failed to publish"),
-                Err(_) => assert!(false, "producer panicked"),
+                Err(_) => panic!("producer panicked"),
             }
         });
         let stats = store.stats();
@@ -1033,19 +1002,13 @@ mod tests {
         {
             let writer = match DiskStore::open(&root) {
                 Ok(s) => s,
-                Err(e) => {
-                    assert!(false, "open failed: {e}");
-                    return;
-                }
+                Err(e) => panic!("open failed: {e}"),
             };
             assert!(publish(&writer, fp, b"shared", None, &health));
         }
         let reader = match DiskStore::open(&root) {
             Ok(s) => s,
-            Err(e) => {
-                assert!(false, "open failed: {e}");
-                return;
-            }
+            Err(e) => panic!("open failed: {e}"),
         };
         assert_eq!(
             reader.load("test.stage", fp, &health),

@@ -171,17 +171,11 @@ mod tests {
         let dataset = ig_synth::generate(&spec);
         let bytes = match stage.encode(&dataset) {
             Some(b) => b,
-            None => {
-                assert!(false, "GenerateDataset must opt into durability");
-                return;
-            }
+            None => panic!("GenerateDataset must opt into durability"),
         };
         let back = match stage.decode(&bytes) {
             Some(d) => d,
-            None => {
-                assert!(false, "encoded dataset must decode");
-                return;
-            }
+            None => panic!("encoded dataset must decode"),
         };
         assert_eq!(back.name, dataset.name);
         assert_eq!(back.len(), dataset.len());

@@ -150,18 +150,12 @@ mod tests {
         let root = std::env::temp_dir().join(format!("ig-store-attach-{}", std::process::id()));
         let disk = match DiskStore::open(&root) {
             Ok(d) => Arc::new(d),
-            Err(e) => {
-                assert!(false, "open failed: {e}");
-                return;
-            }
+            Err(e) => panic!("open failed: {e}"),
         };
         store.attach_disk(disk.clone());
         let second = match DiskStore::open(&root) {
             Ok(d) => Arc::new(d),
-            Err(e) => {
-                assert!(false, "open failed: {e}");
-                return;
-            }
+            Err(e) => panic!("open failed: {e}"),
         };
         store.attach_disk(second);
         assert!(

@@ -28,10 +28,7 @@ fn fresh_store() -> DiskStore {
     }
     match DiskStore::open(root) {
         Ok(store) => store,
-        Err(e) => {
-            assert!(false, "store open failed: {e}");
-            unreachable!()
-        }
+        Err(e) => panic!("store open failed: {e}"),
     }
 }
 
@@ -53,17 +50,14 @@ fn publish(
 fn read_artifact(store: &DiskStore, id: &str, fp: Fingerprint) -> Vec<u8> {
     match std::fs::read(store.artifact_path(id, fp)) {
         Ok(bytes) => bytes,
-        Err(e) => {
-            assert!(false, "artifact unreadable: {e}");
-            unreachable!()
-        }
+        Err(e) => panic!("artifact unreadable: {e}"),
     }
 }
 
 fn write_artifact(store: &DiskStore, id: &str, fp: Fingerprint, bytes: &[u8]) {
     match std::fs::write(store.artifact_path(id, fp), bytes) {
         Ok(()) => {}
-        Err(e) => assert!(false, "artifact unwritable: {e}"),
+        Err(e) => panic!("artifact unwritable: {e}"),
     }
 }
 
@@ -164,7 +158,7 @@ properties! {
         let extra = g.gen_range(1usize..16);
         let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let mut bytes = m.to_bytes();
-        bytes.extend(std::iter::repeat(0u8).take(extra));
+        bytes.extend(std::iter::repeat_n(0u8, extra));
         ensure!(Matrix::from_bytes(&bytes).is_none());
     }
 }

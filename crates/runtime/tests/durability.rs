@@ -86,10 +86,7 @@ fn fresh_root(tag: &str) -> std::path::PathBuf {
 fn open_store(root: &std::path::Path) -> Arc<DiskStore> {
     match DiskStore::open(root) {
         Ok(store) => Arc::new(store),
-        Err(e) => {
-            assert!(false, "store open failed: {e}");
-            unreachable!()
-        }
+        Err(e) => panic!("store open failed: {e}"),
     }
 }
 
@@ -260,6 +257,6 @@ fn injected_store_faults_are_survived_and_recorded() {
     let quarantine = disk.root().join("_quarantine");
     match std::fs::read_dir(quarantine) {
         Ok(entries) => assert!(entries.count() >= 1),
-        Err(e) => assert!(false, "quarantine dir missing: {e}"),
+        Err(e) => panic!("quarantine dir missing: {e}"),
     }
 }

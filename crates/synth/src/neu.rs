@@ -9,7 +9,7 @@ use crate::spec::DatasetSpec;
 use crate::surface::{corrupt_with_noise, noise_strength, rolled_steel};
 use crate::LabeledImage;
 use ig_imaging::filter::gaussian_blur;
-use ig_imaging::noise::fbm;
+use ig_imaging::noise::fbm_image;
 use ig_imaging::{BBox, GrayImage};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -88,9 +88,11 @@ fn paint_class(
                 let fh = rng.gen_range(h / 10..h / 4).max(2);
                 let x0 = rng.gen_range(0..w - fw);
                 let y0 = rng.gen_range(0..h - fh);
+                // fBm stretched 2x along y: the even rows of a grid twice
+                // as tall, less its last row.
+                let grid = fbm_image(seed.wrapping_add(17), fw, 2 * fh - 1, 0.15, 3, 0.0, 1.0);
                 let mut flake = GrayImage::from_fn(fw, fh, |x, y| {
-                    let v = fbm(seed.wrapping_add(17), x as f32, y as f32 * 2.0, 0.15, 3);
-                    if v > 0.45 {
+                    if grid.get(x, 2 * y) > 0.45 {
                         -0.25 * strength
                     } else {
                         0.0
@@ -108,14 +110,8 @@ fn paint_class(
                 let fh = rng.gen_range(h / 3..(3 * h) / 4);
                 let x0 = rng.gen_range(0..w - fw);
                 let y0 = rng.gen_range(0..h - fh);
-                let mut patch = GrayImage::from_fn(fw, fh, |x, y| {
-                    let v = fbm(seed.wrapping_add(23), x as f32, y as f32, 0.08, 3);
-                    if v > 0.4 {
-                        0.3 * strength
-                    } else {
-                        0.0
-                    }
-                });
+                let noise = fbm_image(seed.wrapping_add(23), fw, fh, 0.08, 3, 0.0, 1.0);
+                let mut patch = noise.map(|v| if v > 0.4 { 0.3 * strength } else { 0.0 });
                 patch = gaussian_blur(&patch, 1.0);
                 img.blend_add(&patch, x0 as isize, y0 as isize, 1.0);
                 boxes.push(BBox::new(x0 as f32, y0 as f32, fw as f32, fh as f32));

@@ -8,7 +8,7 @@
 //! blob / frequency features.
 
 use crate::{Dataset, LabeledImage, TaskType};
-use ig_imaging::noise::{fbm_image, value_noise, white_noise_image};
+use ig_imaging::noise::{fbm_image, white_noise_image};
 use ig_imaging::GrayImage;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -137,11 +137,11 @@ fn texture(class: usize, side: usize, seed: u64, rng: &mut StdRng) -> GrayImage 
         }
         // Cellular flake texture (scale-like).
         7 => {
-            let base = img.clone();
-            img = GrayImage::from_fn(side, side, |x, y| {
-                let v = value_noise(seed.wrapping_add(3), x as f32, y as f32, 0.15);
-                base.get(x, y) + if v > 0.55 { -0.2 } else { 0.0 }
-            });
+            // One octave of fBm is plain value noise.
+            let cells = fbm_image(seed.wrapping_add(3), side, side, 0.15, 1, 0.0, 1.0);
+            for (o, &v) in img.pixels_mut().iter_mut().zip(cells.pixels()) {
+                *o += if v > 0.55 { -0.2 } else { 0.0 };
+            }
         }
         // Class indices are produced modulo SYNTHNET_CLASSES by the
         // generator loop — loud under debug_assertions, a flat texture in
