@@ -212,14 +212,13 @@ properties! {
 properties! {
     cases = 8;
 
-    /// PR 9 rerun of the recovery contract over the new kernel dispatch:
-    /// a GAN-scale 128x128 pattern on a 256x256 frame pushes the coarse
-    /// scan across the FFT crossover (16x16 coarse pattern on a 32x32
-    /// level), so recovered cells are reconstructed through the spectral
-    /// numerator + exact refine. Serial and recovered runs share that
-    /// deterministic dispatch, so results stay bit-identical; the small
-    /// second pattern keeps sweep-path cells in the same matrix.
-    fn cell_granular_panic_recovery_matches_serial_over_fft_dispatch(g) {
+    /// The recovery contract over both matcher shapes: a GAN-scale
+    /// 128x128 pattern on a 256x256 frame runs the full 4-level ladder (a
+    /// 16x16 coarse pattern on a 32x32 level, then three refine rungs),
+    /// while the small second pattern takes the one-level exact scan.
+    /// Recovered cells are recomputed through the same deterministic
+    /// kernels, so results stay bit-identical to the serial run.
+    fn cell_granular_panic_recovery_matches_serial_on_gan_scale_patterns(g) {
         let threads = g.gen_range(2usize..6);
         let panic_rate = g.gen_range(0.3f64..=1.0);
         let seed = g.gen::<u64>();

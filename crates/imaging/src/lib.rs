@@ -29,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-pub mod fft;
 pub mod filter;
 pub mod geometry;
 pub mod image;
@@ -37,7 +36,6 @@ pub mod integral;
 pub mod io;
 pub mod ncc;
 pub mod noise;
-pub mod planner;
 pub mod prepared;
 pub mod pyramid;
 pub mod resize;
@@ -47,9 +45,7 @@ pub mod transform;
 pub use geometry::BBox;
 pub use image::GrayImage;
 pub use ncc::{match_template, match_template_pyramid, MatchResult};
-pub use prepared::{
-    match_prepared, match_prepared_exact, score_map_prepared, PreparedImage, PreparedPattern,
-};
+pub use prepared::{match_prepared, match_prepared_exact, PreparedImage, PreparedPattern};
 
 /// Errors produced by imaging operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -119,7 +119,7 @@ impl CenteredPattern {
 
 /// Tolerances sized for [0, 1] imagery: a "flat" pattern or window whose
 /// per-pixel deviation is below ~1e-4 carries only float noise. Shared by
-/// the scalar path, the row sweep, and the FFT path so the three kernels
+/// the scalar reference, the row sweep and the refine runs so the kernels
 /// cannot drift on the cutoff.
 pub(crate) const FLAT_WINDOW_TOL: f64 = 1e-8;
 /// See [`FLAT_WINDOW_TOL`]; this one gates the pattern's L2 norm.
@@ -476,24 +476,35 @@ pub(crate) fn pearson_at(
     score.clamp(-1.0, 1.0) as f32
 }
 
+/// The best placement of a dense [`ncc_row_sweep`]: row-major scan,
+/// strict `>`, so the first of equal maxima wins. The one argmax loop
+/// behind [`match_template`] and every exact scan of
+/// [`crate::prepared`].
+pub(crate) fn best_placement(
+    image: &GrayImage,
+    pattern: &CenteredPattern,
+    sums: &ImageSums,
+) -> MatchResult {
+    let mut best = MatchResult {
+        x: 0,
+        y: 0,
+        score: f32::NEG_INFINITY,
+    };
+    ncc_row_sweep(image, pattern, sums, |x, y, s| {
+        if s > best.score {
+            best = MatchResult { x, y, score: s };
+        }
+    });
+    best
+}
+
 /// Exact brute-force Pearson-NCC match over every valid placement, driven
 /// by the one-pass [`ncc_row_sweep`] (same scan order and comparison as
 /// the historical per-placement loop).
 pub fn match_template(image: &GrayImage, pattern: &GrayImage) -> Result<MatchResult> {
     validate(image, pattern)?;
     let prepared = CenteredPattern::new(pattern);
-    let sums = ImageSums::new(image);
-    let mut best = MatchResult {
-        x: 0,
-        y: 0,
-        score: f32::NEG_INFINITY,
-    };
-    ncc_row_sweep(image, &prepared, &sums, |x, y, s| {
-        if s > best.score {
-            best = MatchResult { x, y, score: s };
-        }
-    });
-    Ok(best)
+    Ok(best_placement(image, &prepared, &ImageSums::new(image)))
 }
 
 /// Dense Pearson-NCC score map: output pixel `(x, y)` is the score of the
@@ -520,13 +531,9 @@ pub fn score_map(image: &GrayImage, pattern: &GrayImage) -> Result<GrayImage> {
 /// is too small to survive even one reduction. A one-off call: both
 /// operands are prepared, matched by [`match_prepared`] and dropped.
 ///
-/// Exactness follows [`match_prepared`]: the coarse scan runs on the
-/// exact sweep below [`crate::planner::MIN_FFT_PATTERN_AREA`], so the
-/// result is then bit-identical to scoring every placement with the
-/// scalar reference. For a coarse pattern above the planner's FFT
-/// crossover the coarse numerator is computed spectrally, and the
-/// `top_k` candidate selection is only equal up to float rounding; the
-/// returned score still comes from the exact refine pass.
+/// Exactness follows [`match_prepared`]: the result is bit-identical to
+/// scoring every placement of the coarse scan and the refine windows with
+/// the scalar reference.
 pub fn match_template_pyramid(
     image: &GrayImage,
     pattern: &GrayImage,
@@ -770,6 +777,8 @@ mod tests {
         pat.set(1, 1, 0.9);
         let m = match_template(&img, &pat).unwrap();
         assert_eq!(m.score, 0.0);
+        // Every placement ties at 0.0: the first in row-major order wins.
+        assert_eq!((m.x, m.y), (0, 0));
     }
 
     #[test]

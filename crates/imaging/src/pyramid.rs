@@ -72,13 +72,6 @@ impl Pyramid {
         &self.levels
     }
 
-    /// Dimensions of level `i`, or `None` past the last level — the
-    /// panic-free probe the NCC planner uses to key its per-level
-    /// decisions without borrowing the level pixels.
-    pub fn level_dims(&self, i: usize) -> Option<(usize, usize)> {
-        self.levels.get(i).map(|l| l.dims())
-    }
-
     /// Scale factor of level `i` relative to the base (`2^i`).
     pub fn scale(&self, i: usize) -> usize {
         1usize << i

@@ -44,8 +44,6 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/imaging/src/ncc.rs",
     "crates/imaging/src/prepared.rs",
     "crates/imaging/src/integral.rs",
-    "crates/imaging/src/fft.rs",
-    "crates/imaging/src/planner.rs",
     "crates/imaging/src/resize.rs",
     "crates/imaging/src/pyramid.rs",
     "crates/imaging/src/transform.rs",
@@ -79,13 +77,11 @@ pub const ENGINE_FILES: &[&str] = &[
 
 /// Files where the C1 `lock-discipline` rule applies: the memory store and
 /// disk tier of the runtime (Mutex + advisory pid lock) and the imaging
-/// engine's hot-path caches — the prepared-pattern fitted/spectrum caches
-/// and the NCC planner's decision/plan caches (PR 9).
+/// engine's hot-path cache — the prepared-pattern fitted-variant cache.
 pub fn lock_scope(rel_path: &str) -> bool {
     rel_path == "crates/runtime/src/store.rs"
         || rel_path == "crates/runtime/src/disk.rs"
         || rel_path == "crates/imaging/src/prepared.rs"
-        || rel_path == "crates/imaging/src/planner.rs"
 }
 
 /// Files where the H1 `hot-loop-alloc` rule applies: the NCC/pyramid hot
@@ -105,11 +101,6 @@ pub fn strict_error_scope(rel_path: &str) -> bool {
     rel_path.starts_with("crates/faults/src/")
         || rel_path.starts_with("crates/core/src/")
         || rel_path.starts_with("crates/runtime/src/")
-        // The spectral NCC path (PR 9): a swallowed plan/transform error
-        // here silently degrades scores instead of failing loudly, so
-        // every discarded result must be accounted for.
-        || rel_path == "crates/imaging/src/fft.rs"
-        || rel_path == "crates/imaging/src/planner.rs"
 }
 
 /// Classify a workspace-relative path (forward slashes).
@@ -320,16 +311,6 @@ mod tests {
         assert!(strict_error_scope("crates/runtime/src/codec.rs"));
         assert!(strict_error_scope("crates/runtime/src/store.rs"));
         assert!(!strict_error_scope("crates/imaging/src/ncc.rs"));
-        // The spectral NCC path (PR 9): new kernels enter every relevant
-        // scope — H1 via the imaging prefix, N2 via HOT_PATH_FILES, E1
-        // strict by name, and the planner's caches under C1.
-        assert!(hot_loop_scope("crates/imaging/src/fft.rs"));
-        assert!(hot_loop_scope("crates/imaging/src/planner.rs"));
-        assert!(HOT_PATH_FILES.contains(&"crates/imaging/src/fft.rs"));
-        assert!(HOT_PATH_FILES.contains(&"crates/imaging/src/planner.rs"));
-        assert!(strict_error_scope("crates/imaging/src/fft.rs"));
-        assert!(strict_error_scope("crates/imaging/src/planner.rs"));
-        assert!(lock_scope("crates/imaging/src/planner.rs"));
         assert!(!strict_error_scope("crates/imaging/src/prepared.rs"));
     }
 

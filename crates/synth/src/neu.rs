@@ -35,10 +35,11 @@ pub(crate) fn per_class(spec: &DatasetSpec) -> usize {
 /// class-major, [`per_class`] slots per class.
 ///
 /// `dry: None` renders the slot. `Some(canvas)` runs it draw-only: the
-/// same draws in the same order, with the class texture painted onto
-/// `canvas` (returned as the image) and the surface and noise pixel work
-/// skipped — see [`crate::generate_range`]. Classes 2–5 read surface
-/// pixels, but only to pick paint values, never to steer a draw.
+/// same draws in the same order, with the surface and noise pixel work
+/// skipped — see [`crate::generate_range`]. Classes 0 and 1 skip their
+/// fBm textures too, since their boxes depend only on draws and dims;
+/// classes 2–5 paint onto `canvas` (returned as the image). They read
+/// surface pixels, but only to pick paint values, never to steer a draw.
 pub(crate) fn slot(
     spec: &DatasetSpec,
     k: usize,
@@ -51,7 +52,7 @@ pub(crate) fn slot(
     let mut image = dry.unwrap_or_else(|| rolled_steel(surface_seed, spec.width, spec.height));
     let difficult = rng.gen_bool(spec.difficult_fraction);
     let strength = if difficult { 0.35 } else { 1.0 };
-    let defect_boxes = paint_class(&mut image, class, strength, surface_seed, rng);
+    let defect_boxes = paint_class(&mut image, class, strength, surface_seed, render, rng);
     let noisy = rng.gen_bool(spec.noisy_fraction);
     if noisy {
         let strength = noise_strength(rng);
@@ -70,12 +71,14 @@ pub(crate) fn slot(
 
 /// Paint the class-specific texture; returns gold boxes covering the
 /// affected regions. `strength` scales contrast (difficult images use a
-/// fraction of it).
+/// fraction of it). With `render` false the fBm flakes and patches of
+/// classes 0 and 1 are not built; every draw is made all the same.
 fn paint_class(
     img: &mut GrayImage,
     class: usize,
     strength: f32,
     seed: u64,
+    render: bool,
     rng: &mut StdRng,
 ) -> Vec<BBox> {
     let (w, h) = img.dims();
@@ -88,18 +91,19 @@ fn paint_class(
                 let fh = rng.gen_range(h / 10..h / 4).max(2);
                 let x0 = rng.gen_range(0..w - fw);
                 let y0 = rng.gen_range(0..h - fh);
-                // fBm stretched 2x along y: the even rows of a grid twice
-                // as tall, less its last row.
-                let grid = fbm_image(seed.wrapping_add(17), fw, 2 * fh - 1, 0.15, 3, 0.0, 1.0);
-                let mut flake = GrayImage::from_fn(fw, fh, |x, y| {
-                    if grid.get(x, 2 * y) > 0.45 {
-                        -0.25 * strength
-                    } else {
-                        0.0
-                    }
-                });
-                flake = gaussian_blur(&flake, 0.6);
-                img.blend_add(&flake, x0 as isize, y0 as isize, 1.0);
+                if render {
+                    // fBm stretched 2x along y: the even rows of a grid
+                    // twice as tall, less its last row.
+                    let grid = fbm_image(seed.wrapping_add(17), fw, 2 * fh - 1, 0.15, 3, 0.0, 1.0);
+                    let flake = GrayImage::from_fn(fw, fh, |x, y| {
+                        if grid.get(x, 2 * y) > 0.45 {
+                            -0.25 * strength
+                        } else {
+                            0.0
+                        }
+                    });
+                    img.blend_add(&gaussian_blur(&flake, 0.6), x0 as isize, y0 as isize, 1.0);
+                }
                 boxes.push(BBox::new(x0 as f32, y0 as f32, fw as f32, fh as f32));
             }
         }
@@ -110,10 +114,11 @@ fn paint_class(
                 let fh = rng.gen_range(h / 3..(3 * h) / 4);
                 let x0 = rng.gen_range(0..w - fw);
                 let y0 = rng.gen_range(0..h - fh);
-                let noise = fbm_image(seed.wrapping_add(23), fw, fh, 0.08, 3, 0.0, 1.0);
-                let mut patch = noise.map(|v| if v > 0.4 { 0.3 * strength } else { 0.0 });
-                patch = gaussian_blur(&patch, 1.0);
-                img.blend_add(&patch, x0 as isize, y0 as isize, 1.0);
+                if render {
+                    let noise = fbm_image(seed.wrapping_add(23), fw, fh, 0.08, 3, 0.0, 1.0);
+                    let patch = noise.map(|v| if v > 0.4 { 0.3 * strength } else { 0.0 });
+                    img.blend_add(&gaussian_blur(&patch, 1.0), x0 as isize, y0 as isize, 1.0);
+                }
                 boxes.push(BBox::new(x0 as f32, y0 as f32, fw as f32, fh as f32));
             }
         }
