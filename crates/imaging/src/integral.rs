@@ -27,16 +27,8 @@ impl IntegralImage {
     /// `|p| p` for plain sums or `|p| p * p` for squared sums.
     pub fn build(src: &GrayImage, f: impl Fn(f32) -> f64) -> Self {
         let (w, h) = src.dims();
-        let stride = w + 1;
-        let mut table = vec![0.0f64; stride * (h + 1)];
-        for y in 0..h {
-            let row = src.row(y);
-            let mut row_sum = 0.0f64;
-            for x in 0..w {
-                row_sum += f(row[x]);
-                table[(y + 1) * stride + (x + 1)] = table[y * stride + (x + 1)] + row_sum;
-            }
-        }
+        let mut table = vec![0.0f64; table_len(w, h)];
+        fill(src, f, &mut table);
         Self {
             width: w,
             height: h,
@@ -46,12 +38,12 @@ impl IntegralImage {
 
     /// Integral image of raw pixel values.
     pub fn of_values(src: &GrayImage) -> Self {
-        Self::build(src, |p| p as f64)
+        Self::build(src, value)
     }
 
     /// Integral image of squared pixel values.
     pub fn of_squares(src: &GrayImage) -> Self {
-        Self::build(src, |p| (p as f64) * (p as f64))
+        Self::build(src, square)
     }
 
     /// Source image width.
@@ -74,6 +66,74 @@ impl IntegralImage {
     /// `out` should hold `width - w + 1` slots; extra slots are left
     /// untouched. Out-of-range `(y, w, h)` writes nothing.
     pub fn row_window_sums(&self, y: usize, w: usize, h: usize, out: &mut [f64]) {
+        self.view().row_window_sums(y, w, h, out);
+    }
+
+    /// Sum over the window with top-left `(x, y)` and extent `(w, h)`.
+    /// The window must fit inside the image.
+    #[inline]
+    pub fn window_sum(&self, x: usize, y: usize, w: usize, h: usize) -> f64 {
+        self.view().window_sum(x, y, w, h)
+    }
+
+    fn view(&self) -> TableRef<'_> {
+        TableRef::new(self.width, self.height, &self.table)
+    }
+}
+
+/// The accumulator of a value table.
+pub(crate) fn value(p: f32) -> f64 {
+    p as f64
+}
+
+/// The accumulator of a square table.
+pub(crate) fn square(p: f32) -> f64 {
+    (p as f64) * (p as f64)
+}
+
+/// Slots of the summed-area table of a `w × h` source: `(w + 1) × (h + 1)`,
+/// with a zero first row and column.
+pub(crate) fn table_len(w: usize, h: usize) -> usize {
+    (w + 1) * (h + 1)
+}
+
+/// Write the summed-area table of `f(pixel)` into `table`, which holds
+/// [`table_len`] zeroed slots for `src`.
+pub(crate) fn fill(src: &GrayImage, f: impl Fn(f32) -> f64, table: &mut [f64]) {
+    let (w, h) = src.dims();
+    let stride = w + 1;
+    for y in 0..h {
+        let row = src.row(y);
+        let mut row_sum = 0.0f64;
+        for x in 0..w {
+            row_sum += f(row[x]);
+            table[(y + 1) * stride + (x + 1)] = table[y * stride + (x + 1)] + row_sum;
+        }
+    }
+}
+
+/// The lookups of [`IntegralImage`] over a summed-area table borrowed from
+/// any buffer, such as one that holds a whole pyramid's tables.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TableRef<'a> {
+    width: usize,
+    height: usize,
+    table: &'a [f64],
+}
+
+impl<'a> TableRef<'a> {
+    /// The table of a `width × height` source; `table` holds
+    /// [`table_len`] slots.
+    pub(crate) fn new(width: usize, height: usize, table: &'a [f64]) -> Self {
+        Self {
+            width,
+            height,
+            table,
+        }
+    }
+
+    /// See [`IntegralImage::row_window_sums`].
+    pub(crate) fn row_window_sums(&self, y: usize, w: usize, h: usize, out: &mut [f64]) {
         let stride = self.width + 1;
         if y + h > self.height || w > self.width {
             debug_assert!(false, "row_window_sums out of range");
@@ -94,10 +154,9 @@ impl IntegralImage {
         }
     }
 
-    /// Sum over the window with top-left `(x, y)` and extent `(w, h)`.
-    /// The window must fit inside the image.
+    /// See [`IntegralImage::window_sum`].
     #[inline]
-    pub fn window_sum(&self, x: usize, y: usize, w: usize, h: usize) -> f64 {
+    pub(crate) fn window_sum(&self, x: usize, y: usize, w: usize, h: usize) -> f64 {
         debug_assert!(x + w <= self.width && y + h <= self.height);
         let stride = self.width + 1;
         let a = self.table[y * stride + x];

@@ -23,9 +23,10 @@
 //! coarse-to-fine pyramid search that localizes candidates at low
 //! resolution and rescores only small neighbourhoods at full resolution.
 
-use crate::integral::IntegralImage;
+use crate::integral::{fill, square, table_len, value, TableRef};
 use crate::prepared::{match_prepared, PreparedImage, PreparedPattern};
 use crate::{GrayImage, ImagingError, Result};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// The best-match location and its NCC score in `[-1, 1]`.
@@ -139,16 +140,17 @@ pub(crate) fn variance_term(win_sum: f64, win_sq: f64, n: f64) -> Option<f64> {
 /// from the precomputed integral tables.
 #[inline]
 pub(crate) fn window_variance_term(
-    sums: &ImageSums,
+    sums: &ImageSums<'_>,
     x: usize,
     y: usize,
     w: usize,
     h: usize,
 ) -> Option<f64> {
     let n = (w * h) as f64;
+    let (values, squares) = sums.tables();
     variance_term(
-        sums.values.window_sum(x, y, w, h),
-        sums.squares.window_sum(x, y, w, h),
+        values.window_sum(x, y, w, h),
+        squares.window_sum(x, y, w, h),
         n,
     )
 }
@@ -292,16 +294,16 @@ fn score_block<const N: usize>(
 ///
 /// Instead of calling `pearson_at` per placement, each output row reads
 /// its window sum/square terms from the integral tables in one batched
-/// pass ([`IntegralImage::row_window_sums`]) and scores the row with a
-/// register-blocked kernel ([`sweep_row_blocked`] below 8 px of pattern
-/// width, [`score_run`] from 8 px up). Both steps preserve the
-/// per-placement summation order, so emitted scores are
+/// pass ([`crate::integral::IntegralImage::row_window_sums`]) and scores
+/// the row with a register-blocked kernel ([`sweep_row_blocked`] below
+/// 8 px of pattern width, [`score_run`] from 8 px up). Both steps
+/// preserve the per-placement summation order, so emitted scores are
 /// **bit-identical** to `pearson_at` (pinned by the
 /// `row_sweep_bit_identical_to_*` tests below).
 pub(crate) fn ncc_row_sweep(
     image: &GrayImage,
     pattern: &CenteredPattern,
-    sums: &ImageSums,
+    sums: &ImageSums<'_>,
     mut emit: impl FnMut(usize, usize, f32),
 ) {
     let (pw, ph) = (pattern.w, pattern.h);
@@ -324,9 +326,10 @@ pub(crate) fn ncc_row_sweep(
     // window-square slot per output column, refilled per output row.
     let mut win_sums = vec![0.0f64; out_w];
     let mut win_sqs = vec![0.0f64; out_w];
+    let (values, squares) = sums.tables();
     for y in 0..out_h {
-        sums.values.row_window_sums(y, pw, ph, &mut win_sums);
-        sums.squares.row_window_sums(y, pw, ph, &mut win_sqs);
+        values.row_window_sums(y, pw, ph, &mut win_sums);
+        squares.row_window_sums(y, pw, ph, &mut win_sqs);
         if pw < 8 {
             sweep_row_blocked(image, pattern, y, out_w, n, &win_sums, &win_sqs, &mut emit);
             continue;
@@ -424,24 +427,79 @@ fn sweep_row_blocked(
     }
 }
 
-/// Precomputed integrals of the search image.
+/// Value and square summed-area tables of the search image, in one
+/// buffer: the value table, then the square table. Owned for a one-off
+/// image, borrowed from a [`PreparedImage`]'s buffer of every pyramid
+/// level (see [`ImageSums::stack`]).
 #[derive(Debug, Clone)]
-pub(crate) struct ImageSums {
-    values: IntegralImage,
-    squares: IntegralImage,
+pub(crate) struct ImageSums<'a> {
+    width: usize,
+    height: usize,
+    table: Cow<'a, [f64]>,
 }
 
-impl ImageSums {
-    /// Approximate heap footprint of both accumulator tables, in bytes.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        self.values.approx_bytes() + self.squares.approx_bytes()
+impl<'a> ImageSums<'a> {
+    /// The tables of one image, owned.
+    pub(crate) fn new(image: &GrayImage) -> ImageSums<'static> {
+        ImageSums {
+            width: image.width(),
+            height: image.height(),
+            table: Cow::Owned(ImageSums::stack(std::slice::from_ref(image))),
+        }
     }
 
-    pub(crate) fn new(image: &GrayImage) -> Self {
-        Self {
-            values: IntegralImage::of_values(image),
-            squares: IntegralImage::of_squares(image),
+    /// The tables of every image in `images` back to back, in one buffer:
+    /// image 0's value table, its square table, then image 1's, and so on.
+    /// A [`PreparedImage`] keeps its pyramid's tables this way, so they
+    /// are its largest allocation: glibc's malloc keeps up to twice the
+    /// largest block it has mapped and freed at the top of a heap before
+    /// it gives memory back to the OS. With two blocks per level, a
+    /// one-image label call on a 125×314 image gave up to 0.6 MiB back
+    /// when it dropped the prepared image, and the next call faulted it
+    /// in again.
+    pub(crate) fn stack(images: &[GrayImage]) -> Vec<f64> {
+        let lens: Vec<usize> = images
+            .iter()
+            .map(|image| table_len(image.width(), image.height()))
+            .collect();
+        let mut table = vec![0.0f64; 2 * lens.iter().sum::<usize>()];
+        let mut rest = table.as_mut_slice();
+        for (image, &n) in images.iter().zip(&lens) {
+            let (values, tail) = rest.split_at_mut(n);
+            let (squares, tail) = tail.split_at_mut(n);
+            fill(image, value, values);
+            fill(image, square, squares);
+            rest = tail;
         }
+        table
+    }
+
+    /// The tables of `images[i]` in `stack`, a buffer that
+    /// [`ImageSums::stack`] built from `images`.
+    pub(crate) fn in_stack(stack: &'a [f64], images: &[GrayImage], i: usize) -> Option<Self> {
+        let before: usize = images
+            .get(..i)?
+            .iter()
+            .map(|image| 2 * table_len(image.width(), image.height()))
+            .sum();
+        let image = images.get(i)?;
+        let (width, height) = image.dims();
+        let table = stack.get(before..before + 2 * table_len(width, height))?;
+        Some(ImageSums {
+            width,
+            height,
+            table: Cow::Borrowed(table),
+        })
+    }
+
+    /// The value table and the square table.
+    fn tables(&self) -> (TableRef<'_>, TableRef<'_>) {
+        let n = table_len(self.width, self.height);
+        let (values, squares) = self.table.split_at_checked(n).unwrap_or_default();
+        (
+            TableRef::new(self.width, self.height, values),
+            TableRef::new(self.width, self.height, squares),
+        )
     }
 }
 
@@ -457,7 +515,7 @@ pub(crate) fn pearson_at(
     pattern: &CenteredPattern,
     x: usize,
     y: usize,
-    sums: &ImageSums,
+    sums: &ImageSums<'_>,
 ) -> f32 {
     let (pw, ph) = (pattern.w, pattern.h);
     if pattern.degenerate {
@@ -483,7 +541,7 @@ pub(crate) fn pearson_at(
 pub(crate) fn best_placement(
     image: &GrayImage,
     pattern: &CenteredPattern,
-    sums: &ImageSums,
+    sums: &ImageSums<'_>,
 ) -> MatchResult {
     let mut best = MatchResult {
         x: 0,

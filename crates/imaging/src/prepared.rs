@@ -40,7 +40,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 #[derive(Debug, Clone)]
 pub struct PreparedImage {
     pyramid: Pyramid,
-    sums: Vec<ImageSums>,
+    /// Every level's tables in one buffer, laid out by [`ImageSums::stack`].
+    tables: Vec<f64>,
 }
 
 impl PreparedImage {
@@ -52,8 +53,13 @@ impl PreparedImage {
     /// above it and the same early-stop dimension rules apply.
     pub fn new(image: &GrayImage, config: &PyramidMatchConfig) -> Self {
         let pyramid = Pyramid::build(image, config.max_levels.max(1), 2);
-        let sums = pyramid.levels().iter().map(ImageSums::new).collect();
-        Self { pyramid, sums }
+        let tables = ImageSums::stack(pyramid.levels());
+        Self { pyramid, tables }
+    }
+
+    /// The integral tables of pyramid level `lvl`.
+    fn sums(&self, lvl: usize) -> Option<ImageSums<'_>> {
+        ImageSums::in_stack(&self.tables, self.pyramid.levels(), lvl)
     }
 
     /// The full-resolution image.
@@ -81,7 +87,7 @@ impl PreparedImage {
     /// budgeter, not an accounting — but it must track the dominant
     /// buffers. Nothing grows after construction.
     pub fn approx_bytes(&self) -> usize {
-        self.pyramid.approx_bytes() + self.sums.iter().map(ImageSums::approx_bytes).sum::<usize>()
+        self.pyramid.approx_bytes() + self.tables.len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -214,10 +220,10 @@ impl PreparedPattern {
 /// tail of [`match_prepared_exact`] and the pyramid fallbacks, through the
 /// same [`best_placement`] as [`crate::ncc::match_template`].
 fn scan_exact(image: &PreparedImage, level: &PatternLevel) -> Result<MatchResult> {
-    let Some(sums) = image.sums.first() else {
+    let Some(sums) = image.sums(0) else {
         return Err(ImagingError::EmptyImage);
     };
-    Ok(best_placement(image.image(), &level.centered, sums))
+    Ok(best_placement(image.image(), &level.centered, &sums))
 }
 
 /// Exact brute-force Pearson-NCC match from prepared operands.
@@ -255,8 +261,7 @@ pub fn match_prepared(
     }
 
     let coarse = levels - 1;
-    let (Some(coarse_lvl), Some(coarse_sums)) =
-        (pattern.levels.get(coarse), image.sums.get(coarse))
+    let (Some(coarse_lvl), Some(coarse_sums)) = (pattern.levels.get(coarse), image.sums(coarse))
     else {
         return scan_exact(image, base);
     };
@@ -271,7 +276,7 @@ pub fn match_prepared(
     ncc_row_sweep(
         coarse_img,
         &coarse_lvl.centered,
-        coarse_sums,
+        &coarse_sums,
         |x, y, score| {
             insert_topk(&mut candidates, MatchResult { x, y, score }, config.top_k);
         },
@@ -284,7 +289,7 @@ pub fn match_prepared(
     let mut windows: Vec<Window> = Vec::with_capacity(candidates.len());
     let mut runs: Vec<(usize, usize)> = Vec::with_capacity(candidates.len());
     for lvl in (0..coarse).rev() {
-        let (Some(pat_lvl), Some(sums)) = (pattern.levels.get(lvl), image.sums.get(lvl)) else {
+        let (Some(pat_lvl), Some(sums)) = (pattern.levels.get(lvl), image.sums(lvl)) else {
             continue;
         };
         let img = image.pyramid.level(lvl);
@@ -309,7 +314,7 @@ pub fn match_prepared(
         refine_level(
             img,
             pat,
-            sums,
+            &sums,
             &windows,
             &mut row_scores,
             &mut runs,
@@ -346,7 +351,7 @@ struct Window {
 fn refine_level(
     img: &GrayImage,
     pattern: &CenteredPattern,
-    sums: &ImageSums,
+    sums: &ImageSums<'_>,
     windows: &[Window],
     row: &mut [f32],
     runs: &mut Vec<(usize, usize)>,
@@ -617,7 +622,7 @@ mod tests {
     fn refine_by_pearson_at(
         img: &GrayImage,
         pattern: &CenteredPattern,
-        sums: &ImageSums,
+        sums: &ImageSums<'_>,
         windows: &[Window],
     ) -> Vec<MatchResult> {
         let mut out = Vec::new();
