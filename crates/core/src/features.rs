@@ -5,7 +5,8 @@
 //! per-image feature vector stacks all FGF outputs — "a vector that
 //! consists of all output values of the FGFs on each image is used as the
 //! input of the labeler". Matching uses the paper's pyramid method by
-//! default; the exact scan exists for the ablation bench.
+//! default; [`MatchBackend::Exact`] selects the exhaustive scan, the
+//! reference the pyramid is checked against.
 //!
 //! This is the pipeline's hot path, so it runs as a **batched matching
 //! engine**: the pattern bank is prepared once at construction
@@ -16,7 +17,10 @@
 //! and the N×M (image × pattern) cell grid is scheduled through a
 //! work-stealing atomic cursor so large images or deep-pyramid patterns
 //! can't serialize a fixed chunk. Scores are bit-identical to the
-//! per-call matchers (pinned by property tests in `crates/core/tests`).
+//! per-call matchers: the exact scan is pinned by
+//! `prepared_matchers_bit_identical_to_per_call` in `crates/core/tests`,
+//! the pyramid by ig-imaging's
+//! `refine_ladder_bit_identical_to_per_placement_reference`.
 
 use crate::pattern::Pattern;
 use crate::stages::DevSet;

@@ -46,8 +46,7 @@ pub use ig_faults::{
 // Runtime types, re-exported so pipeline callers can build contexts and
 // scale plans without a direct `ig-runtime` dependency.
 pub use ig_runtime::{
-    Clock, DiskStats, DiskStore, RunContext, ScalePlan, ScaleTier, ShardPlan, ShardSpec,
-    Supervision,
+    DiskStats, DiskStore, RunContext, ScalePlan, ScaleTier, ShardPlan, ShardSpec,
 };
 
 /// Errors from the core pipeline.

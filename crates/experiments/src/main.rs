@@ -60,7 +60,7 @@ mod table6;
 
 use common::ExpEnv;
 use ig_core::{HealthReport, RunContext, ScalePlan};
-use ig_runtime::{Clock, DiskStore};
+use ig_runtime::DiskStore;
 use json::{Json, ToJson};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -220,13 +220,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Wall-clock deadlines are a driver concern: the runtime only ever
-    // sees this injected monotonic clock, never `Instant` itself.
-    let origin = std::time::Instant::now();
     let mut ctx = RunContext::new(args.seed)
         .with_scale(args.scale)
-        .with_memoization(args.memoize)
-        .with_clock(Clock::new(move || origin.elapsed().as_millis() as u64));
+        .with_memoization(args.memoize);
     // `--resume` is `--store <out>/store`: both attach the durable tier,
     // and resuming is nothing more than rerunning over a store directory
     // that already holds a previous (possibly killed) run's artifacts.

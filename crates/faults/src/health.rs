@@ -16,8 +16,6 @@ pub enum Stage {
     Tuning,
     /// Labeler training (L-BFGS).
     Training,
-    /// End-to-end pipeline orchestration.
-    Pipeline,
     /// Durable artifact store (on-disk persistence tier).
     Store,
 }
@@ -30,7 +28,6 @@ impl fmt::Display for Stage {
             Stage::Features => "features",
             Stage::Tuning => "tuning",
             Stage::Training => "training",
-            Stage::Pipeline => "pipeline",
             Stage::Store => "store",
         };
         f.write_str(s)
@@ -70,10 +67,10 @@ pub enum FaultKind {
     /// The durable store hit an OS-level I/O error (persistence skipped;
     /// the in-memory tier still serves the artifact).
     StoreIoError,
-    /// A supervised stage returned an error (retry ladder engaged).
+    /// A pipeline step could not produce its output and its arm was
+    /// abandoned (the chaos arm records one when every crowd worker was
+    /// faulted away and no pattern is left to train on).
     StageFailure,
-    /// A supervised stage finished but overran its deadline.
-    DeadlineExceeded,
 }
 
 impl fmt::Display for FaultKind {
@@ -94,7 +91,6 @@ impl fmt::Display for FaultKind {
             FaultKind::StaleLock => "stale lock",
             FaultKind::StoreIoError => "store i/o error",
             FaultKind::StageFailure => "stage failure",
-            FaultKind::DeadlineExceeded => "deadline exceeded",
         };
         f.write_str(s)
     }
@@ -125,8 +121,6 @@ pub enum RecoveryAction {
     QuarantinedArtifact,
     /// Removed an advisory lock whose owning process is dead.
     BrokeStaleLock,
-    /// Re-ran the failed stage after a backoff delay.
-    RetriedWithBackoff,
     /// Fault was recorded but needed no intervention.
     NoneRequired,
 }
@@ -145,7 +139,6 @@ impl fmt::Display for RecoveryAction {
             RecoveryAction::PolicyOnlyAugmentation => "policy-only augmentation",
             RecoveryAction::QuarantinedArtifact => "quarantined artifact",
             RecoveryAction::BrokeStaleLock => "broke stale lock",
-            RecoveryAction::RetriedWithBackoff => "retried with backoff",
             RecoveryAction::NoneRequired => "none required",
         };
         f.write_str(s)
@@ -406,10 +399,10 @@ mod tests {
             "torn file".into(),
         );
         report.record(
-            Stage::Pipeline,
-            FaultKind::DeadlineExceeded,
+            Stage::Crowd,
+            FaultKind::StageFailure,
             RecoveryAction::NoneRequired,
-            "stage x".into(),
+            "empty crowd output".into(),
         );
         let summary = report.summary();
         assert_eq!(summary.total_faults, 3);
@@ -423,7 +416,7 @@ mod tests {
                     count: 2
                 },
                 FaultCount {
-                    kind: "deadline exceeded".into(),
+                    kind: "stage failure".into(),
                     count: 1
                 },
             ]

@@ -557,7 +557,7 @@ pub(crate) fn best_placement(
 }
 
 /// Exact brute-force Pearson-NCC match over every valid placement, driven
-/// by the one-pass [`ncc_row_sweep`] (same scan order and comparison as
+/// by the one-pass `ncc_row_sweep` (same scan order and comparison as
 /// the historical per-placement loop).
 pub fn match_template(image: &GrayImage, pattern: &GrayImage) -> Result<MatchResult> {
     validate(image, pattern)?;

@@ -19,7 +19,7 @@
 //! The refine ladder of [`match_prepared`] scores each placement once per
 //! level: the union of the candidates' `±refine_radius` windows is walked
 //! row by row in merged x-runs through the register-blocked
-//! [`score_run`], and each candidate then takes its maximum over its own
+//! `score_run`, and each candidate then takes its maximum over its own
 //! window in the same scan order. Scores and locations are bit-identical
 //! to scoring every window on its own with the scalar `pearson_at`
 //! (pinned by the parity tests below against the per-placement reference

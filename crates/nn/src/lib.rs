@@ -32,7 +32,7 @@ pub use activation::Activation;
 pub use lbfgs::{minimize, minimize_robust, LbfgsConfig, LbfgsResult, RestartConfig};
 pub use matrix::Matrix;
 pub use mlp::{Loss, Mlp, MlpConfig};
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 
 /// Errors from network construction and training.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,41 +1,8 @@
-//! First-order optimizers on flat parameter vectors.
+//! First-order optimizer on flat parameter vectors.
 //!
 //! Adam drives the RGAN (the paper trains generator and discriminator at
-//! learning rate 1e-4) and the CNN baselines; plain SGD exists for tests
-//! and ablations. The labeler itself uses L-BFGS (see [`crate::lbfgs`]).
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 disables).
-    pub momentum: f32,
-    velocity: Vec<f32>,
-}
-
-impl Sgd {
-    /// Create with the given learning rate and momentum.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Apply one update: `params -= lr * (grad + momentum-smoothed state)`.
-    pub fn step(&mut self, params: &mut [f32], grad: &[f32]) {
-        assert_eq!(params.len(), grad.len(), "gradient length mismatch");
-        if self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        for ((p, &g), v) in params.iter_mut().zip(grad).zip(&mut self.velocity) {
-            *v = self.momentum * *v + g;
-            *p -= self.lr * *v;
-        }
-    }
-}
+//! learning rate 1e-4) and the CNN baselines. The labeler itself uses
+//! L-BFGS (see [`crate::lbfgs`]).
 
 /// Adam (Kingma & Ba, 2015) with bias correction.
 #[derive(Debug, Clone)]
@@ -113,35 +80,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let target = [1.0f32, -2.0, 3.0];
-        let mut x = vec![0.0f32; 3];
-        let mut opt = Sgd::new(0.1, 0.0);
-        for _ in 0..200 {
-            let g = quad_grad(&x, &target);
-            opt.step(&mut x, &g);
-        }
-        for (a, b) in x.iter().zip(&target) {
-            assert!((a - b).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn sgd_momentum_accelerates() {
-        let target = [5.0f32];
-        let run = |momentum: f32| {
-            let mut x = vec![0.0f32];
-            let mut opt = Sgd::new(0.01, momentum);
-            for _ in 0..50 {
-                let g = quad_grad(&x, &target);
-                opt.step(&mut x, &g);
-            }
-            (x[0] - target[0]).abs()
-        };
-        assert!(run(0.9) < run(0.0));
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let target = [0.5f32, -1.5, 2.5, 0.0];
         let mut x = vec![10.0f32; 4];
@@ -189,7 +127,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "gradient length mismatch")]
     fn mismatched_grad_panics() {
-        let mut opt = Sgd::new(0.1, 0.0);
+        let mut opt = Adam::new(0.1);
         let mut x = vec![0.0f32; 2];
         opt.step(&mut x, &[1.0]);
     }

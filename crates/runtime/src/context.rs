@@ -2,14 +2,12 @@
 
 #[cfg(debug_assertions)]
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 #[cfg(debug_assertions)]
 use std::sync::Mutex;
-use std::time::Duration;
 
-use ig_faults::{FaultKind, FaultPlan, HealthReport, RecoveryAction};
+use ig_faults::{FaultPlan, HealthReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -18,37 +16,6 @@ use crate::fingerprint::{Fingerprint, FingerprintHasher, Fingerprintable};
 use crate::scale::ScalePlan;
 use crate::stage::Stage;
 use crate::store::ArtifactStore;
-
-/// Injected monotonic time source, in milliseconds from an arbitrary
-/// origin.
-///
-/// Library code must not read wall clocks (a clean run is bit-for-bit
-/// reproducible from its seed, and ambient time breaks that silently), so
-/// the runtime never calls `Instant::now` itself. Drivers that want
-/// deadline supervision install a clock — typically built from a
-/// monotonic timer in the exempt `experiments`/`bench` crates, or from a
-/// deterministic counter in tests. With no clock installed, deadlines are
-/// simply not checked; retries and backoff work regardless.
-#[derive(Clone)]
-pub struct Clock(Arc<dyn Fn() -> u64 + Send + Sync>);
-
-impl Clock {
-    /// Wrap a time source returning milliseconds from a fixed origin.
-    pub fn new(source: impl Fn() -> u64 + Send + Sync + 'static) -> Clock {
-        Clock(Arc::new(source))
-    }
-
-    /// Current reading, in milliseconds.
-    pub fn now_ms(&self) -> u64 {
-        (self.0)()
-    }
-}
-
-impl fmt::Debug for Clock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Clock(injected)")
-    }
-}
 
 /// Debug-build salt ledger: the runtime mirror of ig-lint's static
 /// `salt-determinism` rule. Records which stage first drew each
@@ -87,7 +54,6 @@ pub struct RunContext {
     store: Arc<ArtifactStore>,
     health: Arc<HealthReport>,
     stage_runs: Arc<AtomicU64>,
-    clock: Option<Clock>,
     #[cfg(debug_assertions)]
     salts: Arc<Mutex<SaltLedger>>,
 }
@@ -105,7 +71,6 @@ impl RunContext {
             store: Arc::new(ArtifactStore::new()),
             health: Arc::new(HealthReport::new()),
             stage_runs: Arc::new(AtomicU64::new(0)),
-            clock: None,
             #[cfg(debug_assertions)]
             salts: Arc::new(Mutex::new(SaltLedger::default())),
         }
@@ -143,12 +108,6 @@ impl RunContext {
         self
     }
 
-    /// Install a monotonic clock enabling deadline supervision.
-    pub fn with_clock(mut self, clock: Clock) -> RunContext {
-        self.clock = Some(clock);
-        self
-    }
-
     /// The run seed — the root of all seed discipline.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -159,8 +118,8 @@ impl RunContext {
     /// `StdRng::seed_from_u64(seed)` streams exactly.
     ///
     /// Debug builds additionally record which stage drew each salt and
-    /// panic when two *different* stages share one (see [`SaltLedger`]) —
-    /// the runtime mirror of ig-lint's static `salt-determinism` rule.
+    /// panic when two *different* stages share one — the runtime mirror
+    /// of ig-lint's static `salt-determinism` rule.
     pub fn rng(&self, salt: u64) -> StdRng {
         #[cfg(debug_assertions)]
         self.note_salt(salt);
@@ -234,11 +193,6 @@ impl RunContext {
         self.stage_runs.load(Ordering::Relaxed)
     }
 
-    /// The installed clock, if any.
-    pub fn clock(&self) -> Option<&Clock> {
-        self.clock.as_ref()
-    }
-
     /// The cache key [`RunContext::run`] would use for `stage`. The same
     /// key addresses the artifact in the durable tier, so harnesses can
     /// locate (or deliberately corrupt) a stage's on-disk artifact in
@@ -274,8 +228,9 @@ impl RunContext {
     /// once per store root, not once per process. The durable tier's
     /// encode/decode contract plus checksum verification make a disk hit
     /// bit-identical to a recompute. Every other miss (and every
-    /// non-cacheable stage) runs under the stage's [`Stage::supervision`]
-    /// policy and never touches the disk.
+    /// non-cacheable stage) runs the stage once and never touches the
+    /// disk. A failed stage's error is returned as is: nothing is cached,
+    /// published or recorded in the health report.
     pub fn run<S: Stage>(&self, stage: &mut S) -> Result<Arc<S::Output>, S::Error> {
         if !(self.memoize && stage.cacheable()) {
             self.stage_runs.fetch_add(1, Ordering::Relaxed);
@@ -353,73 +308,13 @@ impl RunContext {
         self.compute(stage, key)
     }
 
-    /// Run the stage under its supervision policy: a bounded
-    /// retry-with-backoff ladder, then a post-hoc deadline check against
-    /// the installed clock. Every retry and every overrun is recorded in
-    /// the shared health report.
+    /// Run the stage once, attributing its salt draws to its id.
     fn execute<S: Stage>(&self, stage: &mut S) -> Result<S::Output, S::Error> {
-        let supervision = stage.supervision();
-        let started = self.clock.as_ref().map(Clock::now_ms);
-        let mut attempt = 0u32;
-        let result = loop {
-            #[cfg(debug_assertions)]
-            self.enter_stage(stage.id());
-            let outcome = stage.run(self);
-            #[cfg(debug_assertions)]
-            self.exit_stage();
-            match outcome {
-                Ok(output) => break Ok(output),
-                Err(_) if attempt < supervision.retries => {
-                    attempt += 1;
-                    let backoff = supervision.backoff_ms(attempt);
-                    self.health.record(
-                        ig_faults::Stage::Pipeline,
-                        FaultKind::StageFailure,
-                        RecoveryAction::RetriedWithBackoff,
-                        format!(
-                            "{}: attempt {attempt}/{} failed, retrying after {backoff} ms",
-                            stage.id(),
-                            supervision.retries,
-                        ),
-                    );
-                    if backoff > 0 {
-                        std::thread::sleep(Duration::from_millis(backoff));
-                    }
-                }
-                Err(e) => {
-                    if supervision.retries > 0 {
-                        self.health.record(
-                            ig_faults::Stage::Pipeline,
-                            FaultKind::StageFailure,
-                            RecoveryAction::NoneRequired,
-                            format!(
-                                "{}: failed after {attempt} retr{}",
-                                stage.id(),
-                                if attempt == 1 { "y" } else { "ies" },
-                            ),
-                        );
-                    }
-                    break Err(e);
-                }
-            }
-        };
-        if supervision.deadline_ms > 0 {
-            if let (Some(clock), Some(start)) = (self.clock.as_ref(), started) {
-                let elapsed = clock.now_ms().saturating_sub(start);
-                if elapsed > supervision.deadline_ms {
-                    self.health.record(
-                        ig_faults::Stage::Pipeline,
-                        FaultKind::DeadlineExceeded,
-                        RecoveryAction::NoneRequired,
-                        format!(
-                            "{}: ran {elapsed} ms against a {} ms deadline",
-                            stage.id(),
-                            supervision.deadline_ms,
-                        ),
-                    );
-                }
-            }
-        }
+        #[cfg(debug_assertions)]
+        self.enter_stage(stage.id());
+        let result = stage.run(self);
+        #[cfg(debug_assertions)]
+        self.exit_stage();
         result
     }
 
@@ -450,6 +345,7 @@ impl Fingerprintable for Fingerprint {
 mod tests {
     use super::*;
     use core::convert::Infallible;
+    use ig_faults::FaultKind;
     use std::sync::atomic::AtomicUsize;
 
     /// Test stage: doubles every element; counts real executions.
@@ -639,7 +535,7 @@ mod tests {
             stage_id: "test.salty-a",
             salt: 0x5a17,
         };
-        // The same stage may redraw its own salt (re-runs, retries)...
+        // The same stage may redraw its own salt (re-runs)...
         crate::infallible(ctx.run(&mut a));
         crate::infallible(ctx.run(&mut a));
         // ...and a different stage with a different salt is the intended
@@ -666,116 +562,6 @@ mod tests {
         };
         crate::infallible(ctx.run(&mut a));
         crate::infallible(ctx.run(&mut b));
-    }
-
-    /// Fails the first `failures` executions, then succeeds.
-    struct Flaky<'a> {
-        failures: usize,
-        calls: &'a AtomicUsize,
-        supervision: crate::Supervision,
-    }
-
-    impl Stage for Flaky<'_> {
-        type Output = u64;
-        type Error = &'static str;
-
-        fn id(&self) -> &'static str {
-            "test.flaky"
-        }
-
-        fn fingerprint(&self) -> Fingerprint {
-            Fingerprint::null()
-        }
-
-        fn cacheable(&self) -> bool {
-            false
-        }
-
-        fn supervision(&self) -> crate::Supervision {
-            self.supervision
-        }
-
-        fn run(&mut self, _ctx: &RunContext) -> Result<u64, &'static str> {
-            let call = self.calls.fetch_add(1, Ordering::Relaxed);
-            if call < self.failures {
-                Err("injected failure")
-            } else {
-                Ok(call as u64)
-            }
-        }
-    }
-
-    #[test]
-    fn retry_ladder_recovers_and_records() {
-        let ctx = RunContext::new(1);
-        let calls = AtomicUsize::new(0);
-        let mut stage = Flaky {
-            failures: 2,
-            calls: &calls,
-            supervision: crate::Supervision::retry(3),
-        };
-        assert_eq!(ctx.run(&mut stage).map(|v| *v), Ok(2));
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
-        assert_eq!(ctx.health().count(FaultKind::StageFailure), 2);
-        assert_eq!(
-            ctx.health()
-                .count_action(RecoveryAction::RetriedWithBackoff),
-            2
-        );
-    }
-
-    #[test]
-    fn exhausted_retries_surface_the_error() {
-        let ctx = RunContext::new(1);
-        let calls = AtomicUsize::new(0);
-        let mut stage = Flaky {
-            failures: 10,
-            calls: &calls,
-            supervision: crate::Supervision::retry(2),
-        };
-        assert_eq!(ctx.run(&mut stage).map(|v| *v), Err("injected failure"));
-        assert_eq!(calls.load(Ordering::Relaxed), 3, "1 try + 2 retries");
-        // 2 retry events + 1 exhaustion event.
-        assert_eq!(ctx.health().count(FaultKind::StageFailure), 3);
-    }
-
-    #[test]
-    fn fail_fast_stage_never_retries() {
-        let ctx = RunContext::new(1);
-        let calls = AtomicUsize::new(0);
-        let mut stage = Flaky {
-            failures: 10,
-            calls: &calls,
-            supervision: crate::Supervision::fail_fast(),
-        };
-        assert!(ctx.run(&mut stage).is_err());
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
-        assert!(ctx.health().is_clean());
-    }
-
-    #[test]
-    fn deadline_overrun_is_recorded_via_injected_clock() {
-        // Deterministic clock: advances 100 "ms" per reading.
-        let ticks = Arc::new(AtomicU64::new(0));
-        let source = Arc::clone(&ticks);
-        let clock = Clock::new(move || source.fetch_add(100, Ordering::Relaxed));
-        let ctx = RunContext::new(1).with_clock(clock);
-        let calls = AtomicUsize::new(0);
-        let mut stage = Flaky {
-            failures: 0,
-            calls: &calls,
-            supervision: crate::Supervision::fail_fast().with_deadline_ms(50),
-        };
-        assert!(ctx.run(&mut stage).is_ok());
-        assert_eq!(ctx.health().count(FaultKind::DeadlineExceeded), 1);
-        // A generous deadline stays quiet.
-        let mut relaxed = Flaky {
-            failures: 0,
-            calls: &calls,
-            supervision: crate::Supervision::fail_fast().with_deadline_ms(10_000),
-        };
-        assert!(ctx.run(&mut relaxed).is_ok());
-        assert_eq!(ctx.health().count(FaultKind::DeadlineExceeded), 1);
     }
 
     /// Cacheable, durable stage: doubles its input and persists via the
@@ -812,23 +598,31 @@ mod tests {
         }
 
         fn encode(&self, output: &Vec<u64>) -> Option<Vec<u8>> {
-            let mut enc = crate::Enc::new();
-            enc.put_usize(output.len());
-            for &v in output {
-                enc.put_u64(v);
-            }
-            Some(enc.into_bytes())
+            Some(encode_u64s(output))
         }
 
         fn decode(&self, bytes: &[u8]) -> Option<Vec<u64>> {
-            let mut dec = crate::Dec::new(bytes);
-            let len = dec.usize_()?;
-            let mut out = Vec::new();
-            for _ in 0..len {
-                out.push(dec.u64()?);
-            }
-            dec.done().then_some(out)
+            decode_u64s(bytes)
         }
+    }
+
+    fn encode_u64s(values: &[u64]) -> Vec<u8> {
+        let mut enc = crate::Enc::new();
+        enc.put_usize(values.len());
+        for &v in values {
+            enc.put_u64(v);
+        }
+        enc.into_bytes()
+    }
+
+    fn decode_u64s(bytes: &[u8]) -> Option<Vec<u64>> {
+        let mut dec = crate::Dec::new(bytes);
+        let len = dec.usize_()?;
+        let mut out = Vec::new();
+        for _ in 0..len {
+            out.push(dec.u64()?);
+        }
+        dec.done().then_some(out)
     }
 
     fn temp_disk(tag: &str) -> Arc<DiskStore> {
@@ -840,6 +634,151 @@ mod tests {
             Ok(disk) => Arc::new(disk),
             Err(e) => panic!("open failed: {e}"),
         }
+    }
+
+    /// Doubles its input, or fails while `fail` is set. `fail` is not
+    /// part of the fingerprint, so a failed run and a later successful
+    /// one address the same artifact.
+    struct Fallible<'a> {
+        input: Vec<u64>,
+        calls: &'a AtomicUsize,
+        fail: bool,
+        cacheable: bool,
+        durable: bool,
+    }
+
+    impl Stage for Fallible<'_> {
+        type Output = Vec<u64>;
+        type Error = &'static str;
+
+        fn id(&self) -> &'static str {
+            "test.fallible"
+        }
+
+        fn fingerprint(&self) -> Fingerprint {
+            self.input.fingerprint()
+        }
+
+        fn cacheable(&self) -> bool {
+            self.cacheable
+        }
+
+        fn durable(&self) -> bool {
+            self.durable
+        }
+
+        fn run(&mut self, _ctx: &RunContext) -> Result<Vec<u64>, &'static str> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            if self.fail {
+                Err("injected failure")
+            } else {
+                Ok(self.input.iter().map(|v| v * 2).collect())
+            }
+        }
+
+        fn encode(&self, output: &Vec<u64>) -> Option<Vec<u8>> {
+            Some(encode_u64s(output))
+        }
+
+        fn decode(&self, bytes: &[u8]) -> Option<Vec<u64>> {
+            decode_u64s(bytes)
+        }
+    }
+
+    #[test]
+    fn failing_stage_runs_once_and_returns_its_error() {
+        let ctx = RunContext::new(1);
+        let calls = AtomicUsize::new(0);
+        let mut stage = Fallible {
+            input: vec![1],
+            calls: &calls,
+            fail: true,
+            cacheable: false,
+            durable: false,
+        };
+        assert_eq!(
+            ctx.run(&mut stage).map(|v| v.to_vec()),
+            Err("injected failure")
+        );
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "no retry");
+        assert_eq!(ctx.stage_runs(), 1);
+        assert!(
+            ctx.health().is_clean(),
+            "a stage error is not a fault event"
+        );
+    }
+
+    #[test]
+    fn failing_cacheable_stage_caches_nothing() {
+        let ctx = RunContext::new(1);
+        let calls = AtomicUsize::new(0);
+        let mut stage = Fallible {
+            input: vec![3],
+            calls: &calls,
+            fail: true,
+            cacheable: true,
+            durable: false,
+        };
+        assert!(ctx.run(&mut stage).is_err());
+        assert!(ctx.store().is_empty(), "an error is never memoized");
+        // The next run of the same key recomputes, and its success is kept.
+        stage.fail = false;
+        assert_eq!(ctx.run(&mut stage).map(|v| v.to_vec()), Ok(vec![6]));
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        assert!(ctx.run(&mut stage).is_ok());
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "the success was memoized");
+        assert!(ctx.health().is_clean());
+    }
+
+    /// Every `.lock` file under `dir`, at any depth.
+    fn lock_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+        let mut found = Vec::new();
+        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                found.extend(lock_files(&path));
+            } else if path.extension().is_some_and(|ext| ext == "lock") {
+                found.push(path);
+            }
+        }
+        found
+    }
+
+    #[test]
+    fn failing_durable_stage_publishes_nothing_and_releases_its_claim() {
+        let disk = temp_disk("failing");
+        let calls = AtomicUsize::new(0);
+        let ctx = RunContext::new(3).with_disk(disk.clone());
+        let mut stage = Fallible {
+            input: vec![4, 5],
+            calls: &calls,
+            fail: true,
+            cacheable: true,
+            durable: true,
+        };
+        assert_eq!(
+            ctx.run(&mut stage).map(|v| v.to_vec()),
+            Err("injected failure")
+        );
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(disk.stats().writes, 0, "a failed stage publishes nothing");
+        assert!(lock_files(disk.root()).is_empty(), "the claim was released");
+        assert!(ctx.store().is_empty());
+
+        // A later successful run claims the same key and publishes it...
+        stage.fail = false;
+        let output = ctx.run(&mut stage).map(|v| v.to_vec());
+        assert_eq!(output, Ok(vec![8, 10]));
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        assert_eq!(disk.stats().writes, 1);
+        assert!(lock_files(disk.root()).is_empty());
+
+        // ...and a fresh context reads it back as a disk hit.
+        let resumed = RunContext::new(3).with_disk(disk.clone());
+        assert_eq!(resumed.run(&mut stage).map(|v| v.to_vec()), Ok(vec![8, 10]));
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "no recompute");
+        assert_eq!(disk.stats().hits, 1);
+        assert!(ctx.health().is_clean());
     }
 
     #[test]

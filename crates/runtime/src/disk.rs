@@ -301,7 +301,7 @@ impl DiskStore {
     /// immediately ([`Flight::Ready`]); otherwise the first process to
     /// create the lock file becomes the producer ([`Flight::Producer`]);
     /// a lock owned by a dead pid is broken through the ordinary
-    /// stale-lock ladder inside [`Self::acquire_lock`]; a lock owned by a
+    /// stale-lock ladder inside `acquire_lock`; a lock owned by a
     /// live pid puts this process to sleep in short polls, counted in
     /// `flight_waits`, re-checking the artifact each round. I/O errors and
     /// wait timeouts degrade to an *unarmed* producer: the caller computes

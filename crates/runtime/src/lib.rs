@@ -22,9 +22,6 @@
 //!   quarantine of corrupt artifacts), which is what makes killed sweeps
 //!   resumable and warm starts possible — see the [`disk`] module docs
 //!   for the durability protocol;
-//! * [`Supervision`]: per-stage bounded retry-with-backoff ladders and
-//!   post-hoc deadlines (via an injected [`Clock`]), recorded in the
-//!   shared health report;
 //! * [`shard`]: deterministic out-of-core streaming — a [`ShardPlan`]
 //!   sized to the scale plan's memory budget splits a dataset into
 //!   [`ShardSpec`]s, and a shard stage (`ig-core`'s
@@ -47,12 +44,12 @@ pub mod stages;
 pub mod store;
 
 pub use codec::{Dec, Durable, Enc};
-pub use context::{Clock, RunContext};
+pub use context::RunContext;
 pub use disk::{DiskStats, DiskStore, Flight, FlightGuard};
 pub use fingerprint::{Fingerprint, FingerprintHasher, Fingerprintable};
 pub use scale::{ScalePlan, ScaleTier};
 pub use shard::{ShardPlan, ShardSpec};
-pub use stage::{Stage, Supervision};
+pub use stage::Stage;
 pub use stages::{GenerateDataset, PrepareImages};
 pub use store::ArtifactStore;
 

@@ -3,66 +3,6 @@
 use crate::context::RunContext;
 use crate::fingerprint::Fingerprint;
 
-/// Retry and deadline policy for a supervised stage.
-///
-/// The default policy is "fail fast, no deadline". A stage opting into
-/// supervision gets a bounded retry ladder: after each failed attempt the
-/// runtime records a [`ig_faults::FaultKind::StageFailure`] in the health
-/// report, sleeps the (exponentially doubling) backoff, and re-runs —
-/// deterministic stages re-fail deterministically, so retries are for
-/// stages whose failures come from the environment (I/O, thread pools),
-/// not for laundering logic errors. Deadlines are *post-hoc*: the runtime
-/// cannot preempt a stage, but when a [`crate::Clock`] is installed it
-/// records a [`ig_faults::FaultKind::DeadlineExceeded`] for any stage
-/// that finished over budget, so sweeps surface slow stages in the same
-/// health channel as faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Supervision {
-    /// Re-executions allowed after a failure (0 = fail fast).
-    pub retries: u32,
-    /// Backoff before the first retry, in milliseconds; doubles per
-    /// attempt. 0 = retry immediately.
-    pub base_backoff_ms: u64,
-    /// Soft per-execution deadline in milliseconds (0 = none). Checked
-    /// after the stage finishes, against the context's injected clock.
-    pub deadline_ms: u64,
-}
-
-impl Supervision {
-    /// Fail-fast policy (the default).
-    pub fn fail_fast() -> Supervision {
-        Supervision::default()
-    }
-
-    /// Policy allowing `retries` re-executions.
-    pub fn retry(retries: u32) -> Supervision {
-        Supervision {
-            retries,
-            ..Supervision::default()
-        }
-    }
-
-    /// Set the base backoff (doubles per attempt).
-    pub fn with_backoff_ms(mut self, ms: u64) -> Supervision {
-        self.base_backoff_ms = ms;
-        self
-    }
-
-    /// Set the soft deadline.
-    pub fn with_deadline_ms(mut self, ms: u64) -> Supervision {
-        self.deadline_ms = ms;
-        self
-    }
-
-    /// Backoff before retry `attempt` (1-based): `base << (attempt - 1)`,
-    /// saturating.
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        let doublings = attempt.saturating_sub(1).min(u64::BITS - 1);
-        let factor = 1u64.checked_shl(doublings).unwrap_or(u64::MAX);
-        self.base_backoff_ms.saturating_mul(factor)
-    }
-}
-
 /// A typed pipeline step with declared identity and inputs.
 ///
 /// Stages are plain structs holding (references to) their inputs and
@@ -108,12 +48,6 @@ pub trait Stage {
         true
     }
 
-    /// Retry/deadline policy applied by [`RunContext::run`] on a cache
-    /// miss. Default: fail fast, no deadline.
-    fn supervision(&self) -> Supervision {
-        Supervision::fail_fast()
-    }
-
     /// Whether this stage persists to the durable tier *under the current
     /// inputs* — the one switch the runtime reads for persistence. On a
     /// durable stage's memory miss, with a disk attached, the runtime
@@ -145,28 +79,5 @@ pub trait Stage {
     /// default rejects everything, matching the default `encode`.
     fn decode(&self, _bytes: &[u8]) -> Option<Self::Output> {
         None
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backoff_doubles_and_saturates() {
-        let sup = Supervision::retry(4).with_backoff_ms(10);
-        assert_eq!(sup.backoff_ms(1), 10);
-        assert_eq!(sup.backoff_ms(2), 20);
-        assert_eq!(sup.backoff_ms(3), 40);
-        let huge = Supervision::retry(200).with_backoff_ms(u64::MAX / 2);
-        assert_eq!(huge.backoff_ms(100), u64::MAX, "saturates, never wraps");
-    }
-
-    #[test]
-    fn default_policy_fails_fast() {
-        let sup = Supervision::fail_fast();
-        assert_eq!(sup.retries, 0);
-        assert_eq!(sup.deadline_ms, 0);
-        assert_eq!(sup.backoff_ms(1), 0);
     }
 }
