@@ -17,7 +17,7 @@ pub fn gaussian_blur(src: &GrayImage, sigma: f32) -> GrayImage {
 /// Separable Gaussian blur with a precomputed kernel from
 /// [`gaussian_kernel`]. Callers that blur many images with the same sigma
 /// (the pyramid builder blurs every level) hoist the kernel allocation out
-/// of their loop and pass it here — the hot-loop-alloc (H1) remedy.
+/// of their loop and pass it here, so no level allocates its own taps.
 ///
 /// Each output sums its taps in kernel order, starting from `0.0`, with
 /// replicate padding — bit-identical to convolving the rows, transposing,

@@ -322,8 +322,9 @@ pub(crate) fn ncc_row_sweep(
         return;
     }
     let n = (pw * ph) as f64;
-    // Row scratch, hoisted out of the scan (H1): one window-sum and one
-    // window-square slot per output column, refilled per output row.
+    // Row scratch, hoisted out of the scan so no row allocates: one
+    // window-sum and one window-square slot per output column, refilled
+    // per output row.
     let mut win_sums = vec![0.0f64; out_w];
     let mut win_sqs = vec![0.0f64; out_w];
     let (values, squares) = sums.tables();

@@ -283,8 +283,9 @@ pub fn match_prepared(
     );
 
     // Refine candidates through finer levels. Scratch for every level,
-    // hoisted out of the ladder (H1): one row of scores, as wide as the
-    // widest level; the candidates' windows; one row's merged x-runs.
+    // hoisted out of the ladder so no level allocates: one row of scores,
+    // as wide as the widest level; the candidates' windows; one row's
+    // merged x-runs.
     let mut row_scores = vec![0.0f32; image.dims().0];
     let mut windows: Vec<Window> = Vec::with_capacity(candidates.len());
     let mut runs: Vec<(usize, usize)> = Vec::with_capacity(candidates.len());

@@ -30,7 +30,7 @@ impl Pyramid {
         let mut levels = vec![base.clone()];
         // Every level is blurred with the same sigma, so the Gaussian taps
         // are computed once and reused across the whole pyramid instead of
-        // being reallocated per level (H1 hoist; see results/NOTES.md).
+        // being reallocated per level (see results/NOTES.md).
         let kernel = gaussian_kernel(PYRAMID_SIGMA);
         while levels.len() < max_levels.max(1) {
             // `levels` starts non-empty and only grows, but the panic-free

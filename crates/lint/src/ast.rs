@@ -1,12 +1,11 @@
 //! A tolerant recursive-descent parser over the lexer's token stream.
 //!
-//! The token-level rules of ig-lint v1 cannot see *structure*: whether a
-//! `Result` flows into `?` or dies in `let _ =`, how deeply a call site is
-//! nested in loops, or which literal dimensions feed a constructor. This
-//! parser recovers exactly the structure those rules (E1 error-flow,
-//! H1 hot-loop-alloc, S1 shape-contract) need — items, fn signatures,
-//! blocks, `let`/`match`/call/method-chain expressions, and loop nesting —
-//! from the same zero-dependency token stream.
+//! The token-level rules cannot see *structure*: which fields a stage's
+//! `run()` reads, which locks a statement holds, or which closure a thread
+//! spawn captures. This parser recovers the structure the workspace rules
+//! and the call-graph and thread dumps need — items, `use` trees, `impl`
+//! headers, blocks, and `let`/`match`/call/method-chain expressions — from
+//! the same zero-dependency token stream.
 //!
 //! Design constraints, in order:
 //!
@@ -35,27 +34,12 @@ impl Span {
     }
 }
 
-/// What a function's signature says it returns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReturnKind {
-    /// No `->` arrow.
-    Unit,
-    /// Last path segment of the return type ends with `Result`
-    /// (`Result<T, E>`, `io::Result<T>`, `crate::Result<T>`).
-    Result,
-    /// Return type is `Option<T>`.
-    Option,
-    /// Anything else.
-    Other,
-}
-
 /// One parsed `fn` item (free function, method, or nested fn).
 #[derive(Debug)]
 pub struct FnDecl {
     pub name: String,
     /// Token index of the name identifier.
     pub name_tok: usize,
-    pub returns: ReturnKind,
     pub body: Block,
     /// Span from the `fn` keyword through the body's closing brace.
     pub span: Span,
@@ -77,7 +61,6 @@ pub struct UseDecl {
     pub alias: String,
     /// Inline-`mod` path of the module the `use` sits in.
     pub module: Vec<String>,
-    pub line: u32,
 }
 
 /// One `impl` block header plus the fns declared inside it.
@@ -91,9 +74,6 @@ pub struct ImplDecl {
     /// fns nested inside method bodies — an over-approximation callers
     /// filter by name when it matters).
     pub fn_ids: Vec<usize>,
-    /// Inline-`mod` path of the module the impl sits in.
-    pub module: Vec<String>,
-    pub span: Span,
 }
 
 /// A `{ ... }` block.
@@ -131,8 +111,6 @@ pub struct LetStmt {
     pub pat: LetPat,
     pub init: Option<Expr>,
     pub else_block: Option<Block>,
-    /// Token index of the `let` keyword.
-    pub let_tok: usize,
     pub span: Span,
 }
 
@@ -144,25 +122,11 @@ pub struct ExprStmt {
     pub span: Span,
 }
 
-/// Which loop construct introduced a nesting level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoopKind {
-    For,
-    While,
-    Loop,
-    /// A closure passed to a per-element iterator adapter (`.map(|x| ...)`)
-    /// — its body runs once per element, so it nests like a loop.
-    AdapterClosure,
-}
-
 /// An expression node.
 #[derive(Debug)]
 pub struct Expr {
     pub kind: ExprKind,
     pub span: Span,
-    /// Loop nesting depth at this node: number of enclosing `for`/`while`/
-    /// `loop` bodies plus adapter closures (see [`LoopKind::AdapterClosure`]).
-    pub depth: u32,
 }
 
 /// Expression shapes the rules consume. Anything else is flattened into
@@ -182,13 +146,12 @@ pub enum ExprKind {
         method_tok: usize,
         args: Vec<Expr>,
     },
-    /// `name!(args)` / `name![args]` / `name!{args}`.
+    /// `name!(args)` / `name![args]` / `name!{args}`; `vec![elem; len]`
+    /// holds `[elem, len]`.
     Macro {
         name: String,
         name_tok: usize,
         args: Vec<Expr>,
-        /// `vec![elem; len]` repeat form.
-        repeat: Option<(Box<Expr>, Box<Expr>)>,
     },
     /// `expr?`.
     Try(Box<Expr>),
@@ -205,10 +168,8 @@ pub enum ExprKind {
     Cast(Box<Expr>),
     /// `(a, b)` / `(a)`.
     Tuple(Vec<Expr>),
-    /// `[a, b, c]`.
+    /// `[a, b, c]`; `[elem; len]` holds `[elem, len]`.
     Array(Vec<Expr>),
-    /// `[elem; len]`.
-    Repeat { elem: Box<Expr>, len: Box<Expr> },
     /// `Path { field: expr, .. }`.
     StructLit {
         path: Vec<String>,
@@ -229,8 +190,8 @@ pub enum ExprKind {
         scrutinee: Box<Expr>,
         arms: Vec<(Span, Expr)>,
     },
-    /// `for`/`while`/`loop` with its body (depth already bumped inside).
-    Loop { kind: LoopKind, body: Block },
+    /// `for`/`while`/`loop` with its body.
+    Loop(Block),
     /// `{ ... }` in expression position.
     BlockExpr(Block),
     /// `|args| body` / `move |args| body`.
@@ -261,51 +222,6 @@ pub struct Ast {
     pub errors: Vec<ParseError>,
 }
 
-impl Ast {
-    /// True when the file parsed without structural surprises.
-    pub fn clean(&self) -> bool {
-        self.errors.is_empty()
-    }
-
-    /// Signature table: return kind of every fn *declared in this file*,
-    /// last declaration wins. Used by E1 to decide fallibility.
-    pub fn signatures(&self) -> std::collections::BTreeMap<&str, ReturnKind> {
-        self.fns
-            .iter()
-            .map(|f| (f.name.as_str(), f.returns))
-            .collect()
-    }
-}
-
-/// Per-element iterator adapters whose closure argument executes once per
-/// item: passing a closure here nests it one loop level deeper.
-const ITER_ADAPTERS: &[&str] = &[
-    "map",
-    "filter",
-    "filter_map",
-    "flat_map",
-    "for_each",
-    "fold",
-    "try_fold",
-    "retain",
-    "scan",
-    "inspect",
-    "map_while",
-    "take_while",
-    "skip_while",
-    "position",
-    "find",
-    "find_map",
-    "any",
-    "all",
-    "sort_by",
-    "sort_by_key",
-    "max_by",
-    "max_by_key",
-    "min_by",
-    "min_by_key",
-];
-
 /// Item-introducing keywords the item scanner understands.
 const ITEM_KEYWORDS: &[&str] = &[
     "fn",
@@ -335,10 +251,8 @@ pub fn parse(toks: &[Token]) -> Ast {
     let mut p = Parser {
         toks,
         pos: 0,
-        depth: 0,
         nest: 0,
         no_struct: 0,
-        adapter_arg: false,
         mods: Vec::new(),
         fuel: toks.len().saturating_mul(16).saturating_add(1024),
         ast: Ast::default(),
@@ -354,15 +268,11 @@ const MAX_NEST: u32 = 128;
 struct Parser<'t> {
     toks: &'t [Token],
     pos: usize,
-    depth: u32,
-    /// Current parser recursion depth (nothing to do with loop `depth`).
+    /// Current parser recursion depth.
     nest: u32,
     /// Nonzero while parsing a condition/scrutinee, where `Path {` is a
     /// block, not a struct literal.
     no_struct: u32,
-    /// True while parsing the argument list of an iterator adapter: closure
-    /// bodies there run per element and get `depth + 1`.
-    adapter_arg: bool,
     /// Inline-`mod` path from the file root to the current item position.
     mods: Vec<String>,
     fuel: usize,
@@ -447,7 +357,6 @@ impl<'t> Parser<'t> {
         Expr {
             kind,
             span: Span { lo, hi: self.pos },
-            depth: self.depth,
         }
     }
 
@@ -715,14 +624,9 @@ impl<'t> Parser<'t> {
                 params = param_names(&self.toks[params_at + 1..self.pos.saturating_sub(1)]);
             }
         }
-        let mut returns = ReturnKind::Unit;
         if self.at_punct("->") {
             self.bump();
-            let ty_lo = self.pos;
             self.skip_type(&["where"]);
-            returns = classify_return(
-                &self.toks[ty_lo.min(self.toks.len())..self.pos.min(self.toks.len())],
-            );
         }
         if self.at_ident("where") {
             self.bump();
@@ -741,7 +645,6 @@ impl<'t> Parser<'t> {
         self.ast.fns.push(FnDecl {
             name,
             name_tok,
-            returns,
             body,
             span: Span { lo, hi: self.pos },
             params,
@@ -788,7 +691,6 @@ impl<'t> Parser<'t> {
     /// `impl (<..>)? TraitPath (for TypePath)? (where ..)? { items }` —
     /// records the header and the index range of fns parsed in the body.
     fn impl_item(&mut self) {
-        let lo = self.pos;
         self.bump(); // `impl`
         if self.at_punct("<") {
             self.skip_angles();
@@ -833,8 +735,6 @@ impl<'t> Parser<'t> {
             trait_path,
             self_path,
             fn_ids: (fns_lo..self.ast.fns.len()).collect(),
-            module: self.mods.clone(),
-            span: Span { lo, hi: self.pos },
         });
     }
 
@@ -868,10 +768,9 @@ impl<'t> Parser<'t> {
 
     /// `use tree;` — flattens the use tree into [`Ast::uses`] leaves.
     fn use_item(&mut self) {
-        let line = self.peek().map_or(0, |t| t.line);
         self.bump(); // `use`
         let mut prefix = Vec::new();
-        self.use_tree(&mut prefix, line, 0);
+        self.use_tree(&mut prefix, 0);
         // Recover to the end of the item whatever the tree looked like.
         while let Some(t) = self.peek() {
             if self.out_of_fuel() {
@@ -894,7 +793,7 @@ impl<'t> Parser<'t> {
 
     /// One branch of a use tree; `prefix` holds the segments accumulated so
     /// far and is restored before returning.
-    fn use_tree(&mut self, prefix: &mut Vec<String>, line: u32, depth: u32) {
+    fn use_tree(&mut self, prefix: &mut Vec<String>, depth: u32) {
         let mark = prefix.len();
         if depth > 16 {
             return; // pathological nesting; recovery in use_item skips the rest
@@ -919,7 +818,7 @@ impl<'t> Parser<'t> {
                         continue;
                     }
                     let before = self.pos;
-                    self.use_tree(prefix, line, depth + 1);
+                    self.use_tree(prefix, depth + 1);
                     if self.pos == before {
                         self.bump();
                     }
@@ -930,7 +829,7 @@ impl<'t> Parser<'t> {
                 self.bump();
                 let mut path = prefix.clone();
                 path.push("*".to_string());
-                self.record_use(path, "*".to_string(), line);
+                self.record_use(path, "*".to_string());
                 break;
             }
             match self.peek() {
@@ -967,13 +866,13 @@ impl<'t> Parser<'t> {
             } else {
                 alias
             };
-            self.record_use(path, alias, line);
+            self.record_use(path, alias);
             break;
         }
         prefix.truncate(mark);
     }
 
-    fn record_use(&mut self, path: Vec<String>, alias: String, line: u32) {
+    fn record_use(&mut self, path: Vec<String>, alias: String) {
         if path.is_empty() || self.ast.uses.len() >= 1024 {
             return;
         }
@@ -981,7 +880,6 @@ impl<'t> Parser<'t> {
             path,
             alias,
             module: self.mods.clone(),
-            line,
         });
     }
 
@@ -1078,7 +976,7 @@ impl<'t> Parser<'t> {
     }
 
     fn let_stmt(&mut self) -> Stmt {
-        let let_tok = self.pos;
+        let lo = self.pos;
         self.bump(); // `let`
         let pat = self.let_pattern();
         if self.at_punct(":") {
@@ -1102,11 +1000,7 @@ impl<'t> Parser<'t> {
             pat,
             init,
             else_block,
-            let_tok,
-            span: Span {
-                lo: let_tok,
-                hi: self.pos,
-            },
+            span: Span { lo, hi: self.pos },
         })
     }
 
@@ -1121,7 +1015,7 @@ impl<'t> Parser<'t> {
                 return LetPat::Wild(tok);
             }
         } else {
-            let mutable = self.eat_ident("mut");
+            self.eat_ident("mut");
             if let Some(t) = self.peek() {
                 if t.kind == TokenKind::Ident
                     && self
@@ -1131,12 +1025,6 @@ impl<'t> Parser<'t> {
                     let name = t.text.clone();
                     let tok = self.pos;
                     self.bump();
-                    if name.starts_with('_') && !mutable && name != "_" {
-                        // `_name` bindings behave like named locals for the
-                        // dataflow pass (rustc's unused lint ignores them,
-                        // which is exactly why E1 cares).
-                        return LetPat::Name { name, tok };
-                    }
                     return LetPat::Name { name, tok };
                 }
             }
@@ -1210,7 +1098,6 @@ impl<'t> Parser<'t> {
                     let cast = Expr {
                         kind: ExprKind::Cast(inner),
                         span: Span { lo, hi: self.pos },
-                        depth: self.depth,
                     };
                     children.push(cast);
                 }
@@ -1291,8 +1178,7 @@ impl<'t> Parser<'t> {
                                 let method = n.text.clone();
                                 let method_tok = self.pos;
                                 self.bump(); // name
-                                let args =
-                                    self.paren_args(ITER_ADAPTERS.contains(&method.as_str()));
+                                let args = self.paren_args();
                                 e = self.mk(
                                     ExprKind::MethodCall {
                                         recv: Box::new(e),
@@ -1313,7 +1199,7 @@ impl<'t> Parser<'t> {
                                     self.skip_angles();
                                 }
                                 let args = if self.at_punct("(") {
-                                    self.paren_args(ITER_ADAPTERS.contains(&method.as_str()))
+                                    self.paren_args()
                                 } else {
                                     Vec::new()
                                 };
@@ -1358,7 +1244,7 @@ impl<'t> Parser<'t> {
                     }
                 }
                 "(" => {
-                    let args = self.paren_args(false);
+                    let args = self.paren_args();
                     e = self.mk(
                         ExprKind::Call {
                             callee: Box::new(e),
@@ -1393,15 +1279,13 @@ impl<'t> Parser<'t> {
         e
     }
 
-    /// Parse `( ... )` call arguments. `adapter` marks closures in this list
-    /// as per-element bodies (loop depth + 1).
-    fn paren_args(&mut self, adapter: bool) -> Vec<Expr> {
+    /// Parse `( ... )` call arguments.
+    fn paren_args(&mut self) -> Vec<Expr> {
         let mut args = Vec::new();
         if !self.eat_punct("(") {
             return args;
         }
         let saved_no_struct = std::mem::take(&mut self.no_struct);
-        let saved_adapter = std::mem::replace(&mut self.adapter_arg, adapter);
         loop {
             if self.out_of_fuel() {
                 break;
@@ -1424,7 +1308,6 @@ impl<'t> Parser<'t> {
                 self.bump(); // guarantee progress on junk
             }
         }
-        self.adapter_arg = saved_adapter;
         self.no_struct = saved_no_struct;
         args
     }
@@ -1517,45 +1400,21 @@ impl<'t> Parser<'t> {
                 self.no_struct += 1;
                 let _iter = self.expr();
                 self.no_struct -= 1;
-                self.depth += 1;
                 let body = self.block();
-                self.depth -= 1;
-                self.mk(
-                    ExprKind::Loop {
-                        kind: LoopKind::For,
-                        body,
-                    },
-                    lo,
-                )
+                self.mk(ExprKind::Loop(body), lo)
             }
             "while" => {
                 self.bump();
                 self.no_struct += 1;
                 let _cond = self.condition();
                 self.no_struct -= 1;
-                self.depth += 1;
                 let body = self.block();
-                self.depth -= 1;
-                self.mk(
-                    ExprKind::Loop {
-                        kind: LoopKind::While,
-                        body,
-                    },
-                    lo,
-                )
+                self.mk(ExprKind::Loop(body), lo)
             }
             "loop" => {
                 self.bump();
-                self.depth += 1;
                 let body = self.block();
-                self.depth -= 1;
-                self.mk(
-                    ExprKind::Loop {
-                        kind: LoopKind::Loop,
-                        body,
-                    },
-                    lo,
-                )
+                self.mk(ExprKind::Loop(body), lo)
             }
             "unsafe" | "async" | "try" => {
                 self.bump();
@@ -1663,7 +1522,6 @@ impl<'t> Parser<'t> {
                 self.bump();
                 let saved = std::mem::take(&mut self.no_struct);
                 let mut items = Vec::new();
-                let mut repeat_len = None;
                 loop {
                     if self.out_of_fuel() {
                         break;
@@ -1676,13 +1534,9 @@ impl<'t> Parser<'t> {
                         self.bump();
                         break;
                     }
-                    if t.is_punct(",") {
+                    // `[elem; len]` keeps both as items.
+                    if t.is_punct(",") || t.is_punct(";") {
                         self.bump();
-                        continue;
-                    }
-                    if t.is_punct(";") {
-                        self.bump();
-                        repeat_len = Some(Box::new(self.expr()));
                         continue;
                     }
                     let before = self.pos;
@@ -1692,17 +1546,7 @@ impl<'t> Parser<'t> {
                     }
                 }
                 self.no_struct = saved;
-                match (items.len(), repeat_len) {
-                    (1, Some(len)) => {
-                        let elem = Box::new(items.pop().unwrap_or(Expr {
-                            kind: ExprKind::Opaque,
-                            span: Span { lo, hi: self.pos },
-                            depth: self.depth,
-                        }));
-                        self.mk(ExprKind::Repeat { elem, len }, lo)
-                    }
-                    _ => self.mk(ExprKind::Array(items), lo),
-                }
+                self.mk(ExprKind::Array(items), lo)
             }
             "|" | "||" => self.closure(lo),
             _ if t.kind == TokenKind::Ident => self.path_or_struct_or_macro(),
@@ -1731,7 +1575,6 @@ impl<'t> Parser<'t> {
 
     fn closure(&mut self, lo: usize) -> Expr {
         // `|params| body` / `||` / `move |params| body`.
-        let bump_depth = self.adapter_arg;
         if self.at_punct("||") {
             self.bump();
         } else if self.eat_punct("|") {
@@ -1758,15 +1601,7 @@ impl<'t> Parser<'t> {
             self.bump();
             self.skip_type(&["{"]);
         }
-        if bump_depth {
-            self.depth += 1;
-        }
-        let saved_adapter = std::mem::replace(&mut self.adapter_arg, false);
         let body = self.expr();
-        self.adapter_arg = saved_adapter;
-        if bump_depth {
-            self.depth -= 1;
-        }
         self.mk(
             ExprKind::Closure {
                 body: Box::new(body),
@@ -1990,7 +1825,6 @@ impl<'t> Parser<'t> {
                         name,
                         name_tok,
                         args: Vec::new(),
-                        repeat: None,
                     },
                     lo,
                 )
@@ -1999,7 +1833,6 @@ impl<'t> Parser<'t> {
         self.bump();
         let saved = std::mem::take(&mut self.no_struct);
         let mut args = Vec::new();
-        let mut repeat_len: Option<Box<Expr>> = None;
         loop {
             if self.out_of_fuel() {
                 break;
@@ -2012,14 +1845,9 @@ impl<'t> Parser<'t> {
                 self.bump();
                 break;
             }
-            if t.is_punct(",") {
+            // `vec![elem; len]` keeps both as arguments.
+            if t.is_punct(",") || (t.is_punct(";") && open == "[") {
                 self.bump();
-                continue;
-            }
-            if t.is_punct(";") && open == "[" {
-                // `vec![elem; len]`.
-                self.bump();
-                repeat_len = Some(Box::new(self.expr()));
                 continue;
             }
             let before = self.pos;
@@ -2030,26 +1858,17 @@ impl<'t> Parser<'t> {
             }
         }
         self.no_struct = saved;
-        let repeat = match (args.len(), repeat_len) {
-            (1, Some(len)) => {
-                let elem = args.pop().map(Box::new);
-                elem.map(|e| (e, len))
-            }
-            _ => None,
-        };
         self.mk(
             ExprKind::Macro {
                 name,
                 name_tok,
                 args,
-                repeat,
             },
             lo,
         )
     }
 }
 
-/// Classify the tokens of a return type.
 /// Extract parameter names from the tokens between a fn's parentheses:
 /// at bracket depth 0 and outside type position, `name :` introduces a
 /// parameter and a bare `self` is the receiver. Pattern parameters
@@ -2085,33 +1904,6 @@ fn param_names(toks: &[Token]) -> Vec<String> {
     out
 }
 
-fn classify_return(ty: &[Token]) -> ReturnKind {
-    // Strip leading `&`/`impl`/`dyn`/lifetimes, then read the path until `<`.
-    let mut segs: Vec<&str> = Vec::new();
-    for t in ty {
-        match t.kind {
-            TokenKind::Ident => {
-                if matches!(t.text.as_str(), "impl" | "dyn" | "mut") {
-                    continue;
-                }
-                segs.push(t.text.as_str());
-            }
-            TokenKind::Lifetime => continue,
-            TokenKind::Punct => match t.text.as_str() {
-                "&" | "&&" | "::" => continue,
-                _ => break,
-            },
-            _ => break,
-        }
-    }
-    match segs.last() {
-        None => ReturnKind::Unit,
-        Some(s) if s.ends_with("Result") => ReturnKind::Result,
-        Some(&"Option") => ReturnKind::Option,
-        _ => ReturnKind::Other,
-    }
-}
-
 // ---- AST walking helpers -----------------------------------------------
 
 /// Visit every expression in a block, depth-first.
@@ -2133,8 +1925,6 @@ pub fn walk_block<'a>(b: &'a Block, f: &mut impl FnMut(&'a Expr)) {
 }
 
 /// Visit every statement in `b` and in all nested blocks, depth-first.
-/// (E1 inspects statement shape — `let _ = …;` / `expr.ok();` — which the
-/// expression walker cannot see.)
 pub fn walk_stmts<'a>(b: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
     for s in &b.stmts {
         f(s);
@@ -2162,7 +1952,7 @@ fn stmts_in_expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Stmt)) {
                 stmts_in_expr(e, f);
             }
         }
-        ExprKind::Loop { body, .. } | ExprKind::BlockExpr(body) => walk_stmts(body, f),
+        ExprKind::Loop(body) | ExprKind::BlockExpr(body) => walk_stmts(body, f),
         ExprKind::Match { scrutinee, arms } => {
             stmts_in_expr(scrutinee, f);
             for (_, a) in arms {
@@ -2181,13 +1971,9 @@ fn stmts_in_expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Stmt)) {
                 stmts_in_expr(a, f);
             }
         }
-        ExprKind::Macro { args, repeat, .. } => {
+        ExprKind::Macro { args, .. } => {
             for a in args {
                 stmts_in_expr(a, f);
-            }
-            if let Some((elem, len)) = repeat {
-                stmts_in_expr(elem, f);
-                stmts_in_expr(len, f);
             }
         }
         ExprKind::Try(inner)
@@ -2208,10 +1994,6 @@ fn stmts_in_expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Stmt)) {
             for i in items {
                 stmts_in_expr(i, f);
             }
-        }
-        ExprKind::Repeat { elem, len } => {
-            stmts_in_expr(elem, f);
-            stmts_in_expr(len, f);
         }
         ExprKind::StructLit { fields, .. } => {
             for fe in fields {
@@ -2240,13 +2022,9 @@ pub fn walk_expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
                 walk_expr(a, f);
             }
         }
-        ExprKind::Macro { args, repeat, .. } => {
+        ExprKind::Macro { args, .. } => {
             for a in args {
                 walk_expr(a, f);
-            }
-            if let Some((elem, len)) = repeat {
-                walk_expr(elem, f);
-                walk_expr(len, f);
             }
         }
         ExprKind::Try(inner)
@@ -2268,10 +2046,6 @@ pub fn walk_expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
                 walk_expr(i, f);
             }
         }
-        ExprKind::Repeat { elem, len } => {
-            walk_expr(elem, f);
-            walk_expr(len, f);
-        }
         ExprKind::StructLit { fields, .. } => {
             for fe in fields {
                 walk_expr(fe, f);
@@ -2290,8 +2064,7 @@ pub fn walk_expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
                 walk_expr(e, f);
             }
         }
-        ExprKind::Loop { body, .. } => walk_block(body, f),
-        ExprKind::BlockExpr(b) => walk_block(b, f),
+        ExprKind::Loop(b) | ExprKind::BlockExpr(b) => walk_block(b, f),
         ExprKind::LetCond { expr, .. } => walk_expr(expr, f),
         ExprKind::Jump(Some(inner)) => walk_expr(inner, f),
         ExprKind::Jump(None) | ExprKind::Path(_) | ExprKind::Lit { .. } | ExprKind::Opaque => {}
@@ -2308,23 +2081,15 @@ mod tests {
     }
 
     #[test]
-    fn fn_signatures_classified() {
+    fn fn_headers_name_their_params() {
         let ast = parse_src(
             "fn a() {}\n\
-             fn b() -> Result<u32, E> { Ok(1) }\n\
-             fn c() -> io::Result<()> { Ok(()) }\n\
-             fn d() -> Option<u8> { None }\n\
-             fn e() -> Vec<u8> { vec![] }\n\
-             pub(crate) fn f(x: &[u8]) -> crate::Result<u8> { Ok(x[0]) }\n",
+             fn b(&self, x: &[u8], (p, q): (u8, u8)) -> Result<u32, E> { Ok(1) }\n\
+             pub(crate) fn c<T>(v: Vec<T>) -> crate::Result<u8> where T: Clone { Ok(0) }\n",
         );
-        assert!(ast.clean(), "errors: {:?}", ast.errors);
-        let sigs = ast.signatures();
-        assert_eq!(sigs["a"], ReturnKind::Unit);
-        assert_eq!(sigs["b"], ReturnKind::Result);
-        assert_eq!(sigs["c"], ReturnKind::Result);
-        assert_eq!(sigs["d"], ReturnKind::Option);
-        assert_eq!(sigs["e"], ReturnKind::Other);
-        assert_eq!(sigs["f"], ReturnKind::Result);
+        assert!(ast.errors.is_empty(), "errors: {:?}", ast.errors);
+        let params: Vec<&[String]> = ast.fns.iter().map(|f| f.params.as_slice()).collect();
+        assert_eq!(params, vec![&[][..], &["self", "x"], &["v"]]);
     }
 
     #[test]
@@ -2336,7 +2101,7 @@ mod tests {
              }\n\
              mod inner { pub fn helper() -> Result<(), E> { Ok(()) } }\n",
         );
-        assert!(ast.clean(), "errors: {:?}", ast.errors);
+        assert!(ast.errors.is_empty(), "errors: {:?}", ast.errors);
         let names: Vec<&str> = ast.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["get", "set", "helper"]);
     }
@@ -2352,7 +2117,7 @@ mod tests {
                let Some(v) = maybe() else { return };\n\
              }\n",
         );
-        assert!(ast.clean(), "errors: {:?}", ast.errors);
+        assert!(ast.errors.is_empty(), "errors: {:?}", ast.errors);
         let stmts = &ast.fns[0].body.stmts;
         assert_eq!(stmts.len(), 5);
         assert!(matches!(
@@ -2378,56 +2143,6 @@ mod tests {
     }
 
     #[test]
-    fn loop_depth_is_tracked() {
-        let ast = parse_src(
-            "fn f(n: usize) {\n\
-               let a = Vec::new();\n\
-               for i in 0..n {\n\
-                 let b = Vec::new();\n\
-                 while i < n {\n\
-                   let c = Vec::new();\n\
-                   loop { let d = Vec::new(); break; }\n\
-                 }\n\
-               }\n\
-             }\n",
-        );
-        assert!(ast.clean(), "errors: {:?}", ast.errors);
-        let mut depths = Vec::new();
-        walk_block(&ast.fns[0].body, &mut |e| {
-            if let ExprKind::Call { callee, .. } = &e.kind {
-                if let ExprKind::Path(segs) = &callee.kind {
-                    if segs == &["Vec", "new"] {
-                        depths.push(e.depth);
-                    }
-                }
-            }
-        });
-        assert_eq!(depths, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn adapter_closures_count_as_loops() {
-        let ast = parse_src(
-            "fn f(v: &[u32]) -> Vec<u32> {\n\
-               for _ in 0..2 {\n\
-                 let s: Vec<u32> = v.iter().map(|x| x.to_string().len() as u32).collect();\n\
-               }\n\
-               Vec::new()\n\
-             }\n",
-        );
-        assert!(ast.clean(), "errors: {:?}", ast.errors);
-        let mut found = None;
-        walk_block(&ast.fns[0].body, &mut |e| {
-            if let ExprKind::MethodCall { method, .. } = &e.kind {
-                if method == "to_string" {
-                    found = Some(e.depth);
-                }
-            }
-        });
-        assert_eq!(found, Some(2), "map closure inside for = depth 2");
-    }
-
-    #[test]
     fn method_chains_and_try_operator() {
         let ast = parse_src(
             "fn f() -> Result<(), E> {\n\
@@ -2436,7 +2151,7 @@ mod tests {
                Ok(())\n\
              }\n",
         );
-        assert!(ast.clean(), "errors: {:?}", ast.errors);
+        assert!(ast.errors.is_empty(), "errors: {:?}", ast.errors);
         let Stmt::Let(l) = &ast.fns[0].body.stmts[0] else {
             panic!("let expected")
         };
@@ -2464,7 +2179,7 @@ mod tests {
                }\n\
              }\n",
         );
-        assert!(ast.clean(), "errors: {:?}", ast.errors);
+        assert!(ast.errors.is_empty(), "errors: {:?}", ast.errors);
         let Stmt::Expr(es) = &ast.fns[0].body.stmts[0] else {
             panic!("match stmt expected")
         };
@@ -2483,26 +2198,16 @@ mod tests {
                let b = vec![0.0; 9];\n\
              }\n",
         );
-        assert!(ast.clean(), "errors: {:?}", ast.errors);
-        let Stmt::Let(a) = &ast.fns[0].body.stmts[0] else {
-            panic!()
+        assert!(ast.errors.is_empty(), "errors: {:?}", ast.errors);
+        let arity = |i: usize| match &ast.fns[0].body.stmts[i] {
+            Stmt::Let(l) => match &l.init.as_ref().expect("init").kind {
+                ExprKind::Macro { name, args, .. } if name == "vec" => args.len(),
+                other => panic!("vec! expected, got {other:?}"),
+            },
+            other => panic!("let expected, got {other:?}"),
         };
-        let ExprKind::Macro {
-            name, args, repeat, ..
-        } = &a.init.as_ref().expect("init").kind
-        else {
-            panic!("macro expected")
-        };
-        assert_eq!(name, "vec");
-        assert_eq!(args.len(), 3);
-        assert!(repeat.is_none());
-        let Stmt::Let(b) = &ast.fns[0].body.stmts[1] else {
-            panic!()
-        };
-        let ExprKind::Macro { repeat, .. } = &b.init.as_ref().expect("init").kind else {
-            panic!("macro expected")
-        };
-        assert!(repeat.is_some());
+        // The repeat form keeps its element and length as two arguments.
+        assert_eq!((arity(0), arity(1)), (3, 2));
     }
 
     #[test]
@@ -2524,7 +2229,7 @@ mod tests {
         }
         let ast = parse_src("fn broken( { let x = ; } fn ok() -> Result<u8, E> { Ok(1) }");
         assert!(ast.fns.iter().any(|f| f.name == "ok"));
-        assert!(!ast.clean());
+        assert!(!ast.errors.is_empty());
     }
 
     #[test]
@@ -2545,7 +2250,7 @@ mod tests {
                while let Some(x) = next() { use_it(x); }\n\
              }\n",
         );
-        assert!(ast.clean(), "errors: {:?}", ast.errors);
+        assert!(ast.errors.is_empty(), "errors: {:?}", ast.errors);
         let Stmt::Expr(ifs) = &ast.fns[0].body.stmts[0] else {
             panic!()
         };
@@ -2553,26 +2258,5 @@ mod tests {
             panic!("if expected, got {:?}", ifs.expr.kind)
         };
         assert!(matches!(cond.kind, ExprKind::LetCond { .. }));
-    }
-
-    #[test]
-    fn closures_in_plain_calls_do_not_bump_depth() {
-        let ast = parse_src(
-            "fn f() {\n\
-               for _ in 0..2 {\n\
-                 spawn(|| Vec::new());\n\
-               }\n\
-             }\n",
-        );
-        assert!(ast.clean(), "errors: {:?}", ast.errors);
-        let mut depth = None;
-        walk_block(&ast.fns[0].body, &mut |e| {
-            if let ExprKind::Call { callee, .. } = &e.kind {
-                if matches!(&callee.kind, ExprKind::Path(p) if p == &["Vec", "new"]) {
-                    depth = Some(e.depth);
-                }
-            }
-        });
-        assert_eq!(depth, Some(1), "spawn closure body stays at loop depth");
     }
 }

@@ -84,25 +84,6 @@ pub fn lock_scope(rel_path: &str) -> bool {
         || rel_path == "crates/imaging/src/prepared.rs"
 }
 
-/// Files where the H1 `hot-loop-alloc` rule applies: the NCC/pyramid hot
-/// paths in `crates/imaging` and the feature-generation loop in
-/// `crates/core::features`. Per-iteration heap traffic here is a direct
-/// throughput regression (ROADMAP: "fast as the hardware allows").
-pub fn hot_loop_scope(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/imaging/src/") || rel_path == "crates/core/src/features.rs"
-}
-
-/// Files where the E1 `error-flow` rule runs in strict mode: fault-recovery
-/// ladders (`crates/faults`), the pipeline core (`crates/core`), and the
-/// stage-graph runtime (`crates/runtime`), where a swallowed `Result`
-/// converts "degrade gracefully" into silent corruption — or, in the
-/// runtime's case, into serving a stale artifact as if freshly computed.
-pub fn strict_error_scope(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/faults/src/")
-        || rel_path.starts_with("crates/core/src/")
-        || rel_path.starts_with("crates/runtime/src/")
-}
-
 /// Classify a workspace-relative path (forward slashes).
 pub fn classify(rel_path: &str) -> FileClass {
     let parts: Vec<&str> = rel_path.split('/').collect();
@@ -147,10 +128,6 @@ pub struct FileContext<'a> {
     pub hot_path: bool,
     /// Parsed AST of the file (possibly partial — see [`Ast::errors`]).
     pub ast: &'a Ast,
-    /// True when H1 `hot-loop-alloc` applies ([`hot_loop_scope`]).
-    pub hot_loop: bool,
-    /// True when E1 `error-flow` runs in strict mode ([`strict_error_scope`]).
-    pub strict_errors: bool,
 }
 
 impl<'a> FileContext<'a> {
@@ -292,26 +269,6 @@ mod tests {
         assert_eq!(classify("tests/integration.rs"), FileClass::Test);
         // Self-application: the linter is library code to itself.
         assert_eq!(classify("crates/lint/src/main.rs"), FileClass::Library);
-    }
-
-    #[test]
-    fn rule_scopes() {
-        assert!(hot_loop_scope("crates/imaging/src/ncc.rs"));
-        assert!(hot_loop_scope("crates/core/src/features.rs"));
-        assert!(!hot_loop_scope("crates/core/src/pipeline.rs"));
-        assert!(!hot_loop_scope("crates/nn/src/matrix.rs"));
-        assert!(strict_error_scope("crates/faults/src/health.rs"));
-        assert!(strict_error_scope("crates/core/src/pipeline.rs"));
-        assert!(strict_error_scope("crates/runtime/src/context.rs"));
-        // The durable-persistence layer: a swallowed I/O or codec Result
-        // here is exactly the "silent corruption" E1 strict mode exists
-        // for. Pin the modules by name so a future split of the runtime
-        // crate cannot quietly drop them from scope.
-        assert!(strict_error_scope("crates/runtime/src/disk.rs"));
-        assert!(strict_error_scope("crates/runtime/src/codec.rs"));
-        assert!(strict_error_scope("crates/runtime/src/store.rs"));
-        assert!(!strict_error_scope("crates/imaging/src/ncc.rs"));
-        assert!(!strict_error_scope("crates/imaging/src/prepared.rs"));
     }
 
     #[test]

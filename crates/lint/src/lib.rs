@@ -10,8 +10,6 @@ pub mod ast;
 pub mod baseline;
 pub mod callgraph;
 pub mod context;
-pub mod dataflow;
-pub mod fix;
 pub mod lexer;
 pub mod report;
 pub mod rules;
@@ -23,9 +21,7 @@ use std::path::{Path, PathBuf};
 
 use annotations::AllowIndex;
 use callgraph::CallGraph;
-use context::{
-    classify, hot_loop_scope, strict_error_scope, test_mask, FileClass, FileContext, HOT_PATH_FILES,
-};
+use context::{classify, test_mask, FileClass, FileContext, HOT_PATH_FILES};
 use report::{Diagnostic, Report, ReportedAllow};
 use symbols::Symbols;
 use threads::ThreadTopology;
@@ -87,8 +83,6 @@ fn contexts<'a>(units: &'a [SourceUnit], parsed: &'a [ParsedUnit]) -> Vec<FileCo
             allows: &p.allows,
             hot_path: u.hot_path,
             ast: &p.ast,
-            hot_loop: hot_loop_scope(&u.rel_path),
-            strict_errors: strict_error_scope(&u.rel_path),
         })
         .collect()
 }
@@ -144,8 +138,7 @@ pub fn check_source_with(
 }
 
 /// Build the workspace call graph for `root` and return its byte-stable
-/// JSON dump (`ig-lint callgraph`; CI commits it to
-/// `results/callgraph.json` and fails on drift).
+/// JSON dump (`ig-lint callgraph`, for local inspection).
 pub fn callgraph_json(root: &Path) -> std::io::Result<String> {
     Ok(callgraph_json_for_units(&load_units(root)?))
 }

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cargo run -p ig-lint -- check [--root DIR] [--report PATH] [--baseline PATH] [--quiet]
-//! cargo run -p ig-lint -- fix [--root DIR] [--dry-run]
 //! cargo run -p ig-lint -- baseline [--root DIR] [--budget N] [--out PATH]
 //! cargo run -p ig-lint -- callgraph [--root DIR] [--out PATH]
 //! cargo run -p ig-lint -- threads [--root DIR] [--out PATH]
@@ -15,22 +14,20 @@
 //! machine-readable report is written to `results/lint_report.json` unless
 //! `--report` overrides the path.
 //!
-//! `fix` applies the mechanical E1 rewrites (see `fix.rs`) in place;
-//! `--dry-run` prints the plan without touching files. `baseline`
-//! regenerates the committed suppression-debt record from the current
-//! workspace state. `callgraph` dumps the byte-stable workspace call
-//! graph; `threads` dumps the thread topology (every spawn site with its
-//! closure-capture escape set) the same way — both are committed under
-//! `results/` and drift-checked in CI. `rules --markdown` prints the
-//! catalog as a markdown table, and
+//! `baseline` regenerates the committed suppression-debt record from the
+//! current workspace state. `callgraph` dumps the byte-stable workspace
+//! call graph for local inspection; `threads` dumps the thread topology
+//! (every spawn site with its closure-capture escape set) the same way,
+//! and that dump is committed under `results/` and drift-checked in CI.
+//! `rules --markdown` prints the catalog as a markdown table, and
 //! `rules --check` fails when the `README.md` rule table (the block
 //! between the `<!-- ig-lint-rules -->` markers) has drifted from it.
+//! `--help` or `-h` anywhere prints the usage and exits 0.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ig_lint::baseline::Baseline;
-use ig_lint::report::Report;
 use ig_lint::rules::rule_catalog;
 
 struct CheckOpts {
@@ -40,23 +37,14 @@ struct CheckOpts {
     quiet: bool,
 }
 
-struct FixOpts {
-    root: PathBuf,
-    dry_run: bool,
-}
-
 struct BaselineOpts {
     root: PathBuf,
     budget: Option<usize>,
     out: PathBuf,
 }
 
-struct CallgraphOpts {
-    root: PathBuf,
-    out: PathBuf,
-}
-
-struct ThreadsOpts {
+/// Options of the two dump commands, `callgraph` and `threads`.
+struct DumpOpts {
     root: PathBuf,
     out: PathBuf,
 }
@@ -69,25 +57,25 @@ struct RulesOpts {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     match args.first().map(String::as_str) {
         Some("check") => match parse_check_opts(&args[1..]) {
             Ok(opts) => run_check(&opts),
-            Err(e) => usage_error(&e),
-        },
-        Some("fix") => match parse_fix_opts(&args[1..]) {
-            Ok(opts) => run_fix(&opts),
             Err(e) => usage_error(&e),
         },
         Some("baseline") => match parse_baseline_opts(&args[1..]) {
             Ok(opts) => run_baseline(&opts),
             Err(e) => usage_error(&e),
         },
-        Some("callgraph") => match parse_callgraph_opts(&args[1..]) {
-            Ok(opts) => run_callgraph(&opts),
+        Some("callgraph") => match parse_dump_opts(&args[1..], "results/callgraph.json") {
+            Ok(opts) => run_dump(&opts, "call graph", ig_lint::callgraph_json),
             Err(e) => usage_error(&e),
         },
-        Some("threads") => match parse_threads_opts(&args[1..]) {
-            Ok(opts) => run_threads(&opts),
+        Some("threads") => match parse_dump_opts(&args[1..], "results/threads.json") {
+            Ok(opts) => run_dump(&opts, "thread topology", ig_lint::threads_json),
             Err(e) => usage_error(&e),
         },
         Some("rules") => match parse_rules_opts(&args[1..]) {
@@ -99,7 +87,7 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: ig-lint check [--root DIR] [--report PATH] [--baseline PATH] [--quiet]\n       ig-lint fix [--root DIR] [--dry-run]\n       ig-lint baseline [--root DIR] [--budget N] [--out PATH]\n       ig-lint callgraph [--root DIR] [--out PATH]\n       ig-lint threads [--root DIR] [--out PATH]\n       ig-lint rules [--markdown] [--check [--readme PATH]]";
+const USAGE: &str = "usage: ig-lint check [--root DIR] [--report PATH] [--baseline PATH] [--quiet]\n       ig-lint baseline [--root DIR] [--budget N] [--out PATH]\n       ig-lint callgraph [--root DIR] [--out PATH]\n       ig-lint threads [--root DIR] [--out PATH]\n       ig-lint rules [--markdown] [--check [--readme PATH]]";
 
 fn usage_error(msg: &str) -> ExitCode {
     eprintln!("ig-lint: {msg}\n{USAGE}");
@@ -136,27 +124,6 @@ fn parse_check_opts(args: &[String]) -> Result<CheckOpts, String> {
                 );
             }
             "--quiet" => opts.quiet = true,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    Ok(opts)
-}
-
-fn parse_fix_opts(args: &[String]) -> Result<FixOpts, String> {
-    let mut opts = FixOpts {
-        root: PathBuf::from("."),
-        dry_run: false,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => {
-                opts.root = it
-                    .next()
-                    .map(PathBuf::from)
-                    .ok_or("--root requires a directory")?;
-            }
-            "--dry-run" => opts.dry_run = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -209,7 +176,7 @@ fn run_check(opts: &CheckOpts) -> ExitCode {
         }
     }
 
-    if let Err(e) = write_report(&report, opts) {
+    if let Err(e) = write_file(&opts.report_path, &report.to_json()) {
         eprintln!(
             "ig-lint: writing report {}: {e}",
             opts.report_path.display()
@@ -262,51 +229,6 @@ fn run_check(opts: &CheckOpts) -> ExitCode {
     }
 }
 
-fn run_fix(opts: &FixOpts) -> ExitCode {
-    let files = match ig_lint::collect_rs_files(&opts.root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("ig-lint: scanning {}: {e}", opts.root.display());
-            return ExitCode::from(2);
-        }
-    };
-    let mut total = 0usize;
-    for path in &files {
-        let rel = path
-            .strip_prefix(&opts.root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("ig-lint: reading {rel}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let edits = ig_lint::fix::plan_fixes(&rel, &src, None);
-        if edits.is_empty() {
-            continue;
-        }
-        for e in &edits {
-            println!("{rel}:{}: {}", e.line, e.note);
-        }
-        total += edits.len();
-        if !opts.dry_run {
-            let fixed = ig_lint::fix::apply_fixes(&src, &edits);
-            if let Err(e) = std::fs::write(path, fixed) {
-                eprintln!("ig-lint: writing {rel}: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    println!(
-        "ig-lint: {total} fix(es) {}",
-        if opts.dry_run { "planned" } else { "applied" }
-    );
-    ExitCode::SUCCESS
-}
-
 fn run_baseline(opts: &BaselineOpts) -> ExitCode {
     let report = match ig_lint::check_workspace(&opts.root) {
         Ok(r) => r,
@@ -319,15 +241,7 @@ fn run_baseline(opts: &BaselineOpts) -> ExitCode {
     // always welcome.
     let budget = opts.budget.unwrap_or(report.allows.len());
     let baseline = Baseline::from_report(&report, budget);
-    if let Some(dir) = opts.out.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("ig-lint: creating {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(&opts.out, baseline.render()) {
+    if let Err(e) = write_file(&opts.out, &baseline.render()) {
         eprintln!("ig-lint: writing {}: {e}", opts.out.display());
         return ExitCode::from(2);
     }
@@ -339,10 +253,10 @@ fn run_baseline(opts: &BaselineOpts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn parse_callgraph_opts(args: &[String]) -> Result<CallgraphOpts, String> {
-    let mut opts = CallgraphOpts {
+fn parse_dump_opts(args: &[String], default_out: &str) -> Result<DumpOpts, String> {
+    let mut opts = DumpOpts {
         root: PathBuf::from("."),
-        out: PathBuf::from("results/callgraph.json"),
+        out: PathBuf::from(default_out),
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -388,77 +302,24 @@ fn parse_rules_opts(args: &[String]) -> Result<RulesOpts, String> {
     Ok(opts)
 }
 
-fn parse_threads_opts(args: &[String]) -> Result<ThreadsOpts, String> {
-    let mut opts = ThreadsOpts {
-        root: PathBuf::from("."),
-        out: PathBuf::from("results/threads.json"),
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => {
-                opts.root = it
-                    .next()
-                    .map(PathBuf::from)
-                    .ok_or("--root requires a directory")?;
-            }
-            "--out" => {
-                opts.out = it
-                    .next()
-                    .map(PathBuf::from)
-                    .ok_or("--out requires a path")?;
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    Ok(opts)
-}
-
-fn run_threads(opts: &ThreadsOpts) -> ExitCode {
-    let json = match ig_lint::threads_json(&opts.root) {
+/// Write one byte-stable dump (`what` names it in the status line).
+fn run_dump(
+    opts: &DumpOpts,
+    what: &str,
+    dump: fn(&std::path::Path) -> std::io::Result<String>,
+) -> ExitCode {
+    let json = match dump(&opts.root) {
         Ok(j) => j,
         Err(e) => {
             eprintln!("ig-lint: scanning {}: {e}", opts.root.display());
             return ExitCode::from(2);
         }
     };
-    if let Some(dir) = opts.out.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("ig-lint: creating {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(&opts.out, &json) {
+    if let Err(e) = write_file(&opts.out, &json) {
         eprintln!("ig-lint: writing {}: {e}", opts.out.display());
         return ExitCode::from(2);
     }
-    println!("ig-lint: thread topology written to {}", opts.out.display());
-    ExitCode::SUCCESS
-}
-
-fn run_callgraph(opts: &CallgraphOpts) -> ExitCode {
-    let json = match ig_lint::callgraph_json(&opts.root) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("ig-lint: scanning {}: {e}", opts.root.display());
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(dir) = opts.out.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("ig-lint: creating {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(&opts.out, &json) {
-        eprintln!("ig-lint: writing {}: {e}", opts.out.display());
-        return ExitCode::from(2);
-    }
-    println!("ig-lint: call graph written to {}", opts.out.display());
+    println!("ig-lint: {what} written to {}", opts.out.display());
     ExitCode::SUCCESS
 }
 
@@ -555,11 +416,12 @@ fn run_rules(opts: &RulesOpts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn write_report(report: &Report, opts: &CheckOpts) -> std::io::Result<()> {
-    if let Some(dir) = opts.report_path.parent() {
+/// Write `contents` to `path`, creating its parent directory first.
+fn write_file(path: &std::path::Path, contents: &str) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;
         }
     }
-    std::fs::write(&opts.report_path, report.to_json())
+    std::fs::write(path, contents)
 }

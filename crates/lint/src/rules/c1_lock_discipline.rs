@@ -199,7 +199,7 @@ impl Pass<'_, '_> {
                 }
                 true
             }
-            ExprKind::Loop { body, .. } => {
+            ExprKind::Loop(body) => {
                 self.block(body, state);
                 true
             }
@@ -467,13 +467,9 @@ fn scan_trys(e: &Expr, out: &mut Vec<usize>) {
                 scan_trys(i, out);
             }
         }
-        ExprKind::Macro { args, repeat, .. } => {
+        ExprKind::Macro { args, .. } => {
             for a in args {
                 scan_trys(a, out);
-            }
-            if let Some((elem, len)) = repeat {
-                scan_trys(elem, out);
-                scan_trys(len, out);
             }
         }
         ExprKind::Jump(Some(i)) => scan_trys(i, out),

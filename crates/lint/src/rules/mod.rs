@@ -7,15 +7,11 @@ mod c1_lock_discipline;
 mod d1_nondeterminism;
 mod d1_salt;
 mod d2_hash_iter;
-mod e1_error_flow;
 mod f1_fingerprint;
-mod h1_hot_loop_alloc;
-mod j1_join;
 mod n1_float_eq;
 mod n2_lossy_cast;
 mod p1_panic;
 mod p1_stage_purity;
-mod s1_shape_contract;
 
 use std::collections::BTreeMap;
 
@@ -36,14 +32,10 @@ pub const RULE_NAMES: &[&str] = &[
     "panic",                    // PF1
     "float-eq",                 // N1
     "lossy-cast",               // N2
-    "error-flow",               // E1
-    "hot-loop-alloc",           // H1
-    "shape-contract",           // S1
     "fingerprint-completeness", // F1
     "stage-purity",             // P1
     "lock-discipline",          // C1
     "atomic-ordering",          // A1
-    "join-discipline",          // J1
     "salt-determinism",         // D1
 ];
 
@@ -56,10 +48,6 @@ pub fn check_file(ctx: &FileContext) -> Vec<Diagnostic> {
     p1_panic::check(ctx, &mut raw);
     n1_float_eq::check(ctx, &mut raw);
     n2_lossy_cast::check(ctx, &mut raw);
-    e1_error_flow::check(ctx, &mut raw);
-    h1_hot_loop_alloc::check(ctx, &mut raw);
-    s1_shape_contract::check(ctx, &mut raw);
-    j1_join::check(ctx, &mut raw);
 
     let mut out: Vec<Diagnostic> = raw
         .into_iter()
@@ -113,7 +101,7 @@ pub fn check_workspace_rules(
 /// Catalog entry for one rule: identity, family, where it applies, and why.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Short id (`E1`), used in docs and the `rules` subcommand.
+    /// Short id (`PF1`), used in docs and the `rules` subcommand.
     pub id: &'static str,
     /// Canonical name, as written in `allow(…)` annotations.
     pub name: &'static str,
@@ -169,33 +157,6 @@ pub fn rule_catalog() -> Vec<RuleInfo> {
                  explicitly or annotate why truncation is intended",
         },
         RuleInfo {
-            id: "E1",
-            name: "error-flow",
-            family: "error-flow",
-            scope: "library crates; strict in crates/faults and crates/core",
-            description: "a Result/Option from a fallible call must reach `?`, `match`, or an \
-                 annotated sink — `let _ =`, statement-level `.ok()`, and \
-                 `.unwrap_or_default()` swallow the error; strict scope flags any \
-                 discarded call result",
-        },
-        RuleInfo {
-            id: "H1",
-            name: "hot-loop-alloc",
-            family: "hot-loop",
-            scope: "crates/imaging/src and crates/core/src/features.rs",
-            description: "no Vec::new/to_vec/clone/format!/Box::new inside loops nested >= 2 deep \
-                 (adapter closures count as loops) — hoist scratch buffers out of the \
-                 loop nest and reuse them",
-        },
-        RuleInfo {
-            id: "S1",
-            name: "shape-contract",
-            family: "shape-contract",
-            scope: "library crates, non-test code",
-            description: "literal-dimension mismatches the parser can prove: from_vec dims vs. \
-                 data length, ragged from_rows rows, zero resize targets",
-        },
-        RuleInfo {
             id: "F1",
             name: "fingerprint-completeness",
             family: "stage-contract",
@@ -245,16 +206,6 @@ pub fn rule_catalog() -> Vec<RuleInfo> {
                  handshake — bless counters per-field with a reason",
         },
         RuleInfo {
-            id: "J1",
-            name: "join-discipline",
-            family: "concurrency",
-            scope: "library crates, non-test code",
-            description: "every `std::thread::spawn` handle is joined on all paths (`?`/early \
-                 return included) and the join result is read — a dropped handle \
-                 detaches the thread, a dropped result silences worker panics; \
-                 intentional detaches need a blessed annotation",
-        },
-        RuleInfo {
             id: "A0",
             name: "bad-annotation",
             family: "hygiene",
@@ -263,12 +214,4 @@ pub fn rule_catalog() -> Vec<RuleInfo> {
                 "every `ig-lint: allow(...)` must list known rules and carry a `-- reason`",
         },
     ]
-}
-
-/// One-line description of each rule, for the report.
-pub fn rule_descriptions() -> Vec<(&'static str, &'static str)> {
-    rule_catalog()
-        .into_iter()
-        .map(|r| (r.name, r.description))
-        .collect()
 }

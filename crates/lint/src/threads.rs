@@ -21,8 +21,8 @@
 //! set is a deliberate lexical over-approximation — method names, path
 //! qualifiers, macros, and type/const names are excluded; anything left
 //! is assumed captured. Rules built on it must treat membership as
-//! suspicion, never proof (same philosophy as the dataflow pass:
-//! over-approximate the reads, under-approximate the claims).
+//! suspicion, never proof: over-approximate the reads, under-approximate
+//! the claims.
 //!
 //! Like the call graph, the topology is deterministic and total: files
 //! arrive sorted, sites are emitted in (file path, token) order, malformed

@@ -12,3 +12,7 @@ fn unknown_rule(v: Option<u32>) -> u32 {
 fn empty_list(v: Option<u32>) -> u32 {
     v.unwrap() // line 13: NOT suppressed // ig-lint: allow() -- reason present
 }
+
+fn retired_rule(v: Option<u32>) -> u32 {
+    v.unwrap() // line 17: NOT suppressed // ig-lint: allow(error-flow) -- retired rule
+}

@@ -1,8 +1,7 @@
 //! Workspace-level analysis properties: the call graph and the thread
 //! topology are deterministic (byte-identical dumps) and total (malformed
-//! input degrades to `unknown` nodes or absent sites, never a panic),
-//! cross-crate resolution stitches `use`-imported calls, and the
-//! mechanical fixer is idempotent.
+//! input degrades to `unknown` nodes or absent sites, never a panic), and
+//! cross-crate resolution stitches `use`-imported calls.
 
 use ig_lint::{callgraph_json_for_units, threads_json_for_units, SourceUnit};
 
@@ -137,41 +136,4 @@ fn threads_dump_is_total_on_malformed_input() {
     let json = threads_json_for_units(&units);
     assert!(json.contains("\"version\": 1"), "dump:\n{json}");
     assert!(json.contains("ok.rs"), "dump:\n{json}");
-}
-
-#[test]
-fn fix_then_lint_is_idempotent_over_fixtures() {
-    // Applying the mechanical fixes once must reach a fixed point: a
-    // second plan over the fixed source is empty, and re-applying changes
-    // nothing. Run every fixture under the strict-errors scope so the
-    // fixer sees the most rewrite opportunities it ever would.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let rel = "crates/faults/src/fixture.rs";
-    let mut fixtures = 0;
-    let mut planned = 0;
-    for entry in std::fs::read_dir(&dir).expect("fixtures dir") {
-        let path = entry.expect("entry").path();
-        if path.extension().is_none_or(|e| e != "rs") {
-            continue;
-        }
-        fixtures += 1;
-        let src = std::fs::read_to_string(&path).expect("read fixture");
-        let first = ig_lint::fix::plan_fixes(rel, &src, None);
-        planned += first.len();
-        let fixed = ig_lint::fix::apply_fixes(&src, &first);
-        let second = ig_lint::fix::plan_fixes(rel, &fixed, None);
-        assert!(
-            second.is_empty(),
-            "{}: second fix pass is not a no-op: {second:#?}",
-            path.display()
-        );
-        assert_eq!(
-            ig_lint::fix::apply_fixes(&fixed, &second),
-            fixed,
-            "{}: re-applying an empty plan must not edit",
-            path.display()
-        );
-    }
-    assert!(fixtures >= 10, "fixture sweep found only {fixtures} files");
-    assert!(planned > 0, "expected at least one fixture to need fixes");
 }
