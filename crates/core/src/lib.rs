@@ -33,7 +33,7 @@ pub use labeler::{Labeler, LabelerConfig};
 pub use novelty::NoveltyDetector;
 pub use pattern::{Pattern, PatternSource};
 pub use pipeline::{InspectorGadget, PipelineConfig, WeakLabelOutput};
-pub use stages::{BuildFeatureGen, ComputeFeatureShard, DevSet, TrainLabeler};
+pub use stages::{BuildFeatureGen, ComputeFeatureShard, DevSet};
 pub use tuning::{tune_labeler_with_health, TuningConfig, TuningReport};
 
 // Chaos-plan and health-report types, re-exported so pipeline callers

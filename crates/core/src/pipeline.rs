@@ -9,13 +9,13 @@
 
 use std::sync::Arc;
 
-use crate::features::{FeatureGenerator, MatchBackend};
-use crate::labeler::Labeler;
-use crate::stages::{BuildFeatureGen, ComputeFeatureShard, DevSet, TrainLabeler};
-use crate::tuning::{TuningConfig, TuningReport};
+use crate::features::{default_threads, FeatureGenerator, MatchBackend};
+use crate::labeler::{Labeler, LabelerConfig};
+use crate::stages::{effective_threads, BuildFeatureGen, ComputeFeatureShard, DevSet};
+use crate::tuning::{tune_labeler_in, TuningConfig, TuningReport};
 use crate::Pattern;
 use crate::Result;
-use ig_faults::{FaultPlan, HealthReport};
+use ig_faults::{FaultKind, FaultPlan, HealthReport, RecoveryAction, Stage as FaultStage};
 use ig_imaging::GrayImage;
 use ig_nn::Matrix;
 use ig_runtime::{infallible, Fingerprint, RunContext, ShardPlan};
@@ -106,12 +106,14 @@ impl InspectorGadget {
     /// The one training path: run the stage graph under `ctx`.
     ///
     /// Stages executed, in order: [`BuildFeatureGen`] (memoized by
-    /// pattern-bank fingerprint), [`ComputeFeatureShard`] over the dev set
-    /// (memoized by bank + image content + shard + fault plan), and
-    /// [`TrainLabeler`] (never memoized — it consumes `rng`). The fault
-    /// plan comes from `ctx`; faults recorded during this call land both
-    /// in the returned model's [`InspectorGadget::health`] and in the
-    /// context-wide [`RunContext::health`] aggregate.
+    /// pattern-bank fingerprint, which folds in the fault plan) and
+    /// [`ComputeFeatureShard`] over the dev set (memoized by bank + image
+    /// content + shard + fault plan). The labeler is then tuned and
+    /// trained by a plain call that is never memoized, since it consumes
+    /// `rng`. The fault plan comes from `ctx`; faults recorded during
+    /// this call land both in the returned model's
+    /// [`InspectorGadget::health`] and in the context-wide
+    /// [`RunContext::health`] aggregate.
     ///
     /// Under a fault plan (`RunContext::with_plan`) the full training
     /// recovery ladder applies:
@@ -155,14 +157,15 @@ impl InspectorGadget {
         let bank_fp = build.bank_fp();
         let feature_gen = ctx.run(&mut build)?;
         let features = features_in_shards(ctx, bank_fp, &feature_gen, dev, ctx.plan(), &health);
-        let (labeler, tuning_report) = ctx.run_owned(&mut TrainLabeler {
-            features: &features,
+        let (labeler, tuning_report) = train_labeler(
+            ctx,
+            &features,
             dev_labels,
             num_classes,
             config,
             rng,
-            health: &health,
-        })?;
+            &health,
+        )?;
         ctx.health().merge(&health);
         Ok(Self {
             feature_gen,
@@ -283,6 +286,109 @@ fn features_in_shards(
         data.extend_from_slice(rows.as_slice());
     }
     Arc::new(Matrix::from_vec(images.len(), cols, data))
+}
+
+/// Tune (or fit fixed) and train the labeler on the dev feature matrix:
+/// the training recovery ladder. If tuning fails outright, the fixed
+/// `config.fixed_hidden` architecture is fitted instead, and if that fit
+/// fails too, the labeler degrades to the class-prior predictor; each
+/// fallback is recorded in `health`. This is a plain call, not a stage:
+/// it consumes the caller's `rng`, whose position no fingerprint can see.
+fn train_labeler(
+    ctx: &RunContext,
+    features: &Matrix,
+    dev_labels: &[usize],
+    num_classes: usize,
+    config: &PipelineConfig,
+    rng: &mut impl Rng,
+    health: &HealthReport,
+) -> Result<(Labeler, Option<TuningReport>)> {
+    let plan = ctx.plan();
+    if !config.tune {
+        let labeler =
+            fit_fixed_or_prior(features, dev_labels, num_classes, config, rng, plan, health)?;
+        return Ok((labeler, None));
+    }
+    let threads = match effective_threads(config, ctx) {
+        0 => default_threads(),
+        n => n,
+    };
+    match tune_labeler_in(
+        features,
+        dev_labels,
+        num_classes,
+        &config.tuning,
+        rng,
+        threads,
+        plan,
+        Some(health),
+    ) {
+        Ok((labeler, report)) => Ok((labeler, Some(report))),
+        Err(e) => {
+            health.record(
+                FaultStage::Tuning,
+                FaultKind::TuningFailure,
+                RecoveryAction::FallbackFixedArchitecture,
+                format!(
+                    "tuning failed ({e}); training fixed {:?}",
+                    config.fixed_hidden
+                ),
+            );
+            let labeler =
+                fit_fixed_or_prior(features, dev_labels, num_classes, config, rng, plan, health)?;
+            Ok((labeler, None))
+        }
+    }
+}
+
+/// Rungs 2 and 3 of the training recovery ladder: fit the fixed fallback
+/// architecture; if that fails too, degrade to the class-prior labeler.
+#[allow(clippy::too_many_arguments)]
+fn fit_fixed_or_prior(
+    features: &Matrix,
+    dev_labels: &[usize],
+    num_classes: usize,
+    config: &PipelineConfig,
+    rng: &mut impl Rng,
+    plan: Option<&FaultPlan>,
+    health: &HealthReport,
+) -> Result<Labeler> {
+    let fixed = Labeler::new(
+        features.cols(),
+        LabelerConfig {
+            hidden: config.fixed_hidden.clone(),
+            num_classes,
+            l2: config.tuning.l2,
+            lbfgs: config.tuning.lbfgs,
+        },
+        rng,
+    )
+    .and_then(|mut labeler| {
+        labeler.fit_with_plan(features, dev_labels, plan, Some(health))?;
+        Ok(labeler)
+    });
+    match fixed {
+        Ok(labeler) => Ok(labeler),
+        Err(e) => {
+            health.record(
+                FaultStage::Training,
+                FaultKind::TrainingFailure,
+                RecoveryAction::FallbackClassPrior,
+                format!("fixed-architecture fit failed ({e}); using class priors"),
+            );
+            Labeler::class_prior(
+                features.cols(),
+                LabelerConfig {
+                    hidden: Vec::new(),
+                    num_classes,
+                    l2: config.tuning.l2,
+                    lbfgs: config.tuning.lbfgs,
+                },
+                dev_labels,
+                rng,
+            )
+        }
+    }
 }
 
 #[cfg(test)]

@@ -2,28 +2,25 @@
 //!
 //! [`crate::InspectorGadget::train_in`] wires these together: pattern
 //! bank → [`BuildFeatureGen`] → [`ComputeFeatureShard`] (dev matrix, one
-//! or more shards) → [`TrainLabeler`]. The first two are deterministic
-//! functions of their fingerprinted inputs and memoize in the context's
-//! artifact store; the labeler stage consumes the caller's RNG and
-//! therefore never caches.
+//! or more shards), then trains the labeler on the matrix. Both stages are
+//! deterministic functions of their fingerprinted inputs and memoize in
+//! the context's artifact store; labeler training consumes the caller's
+//! RNG, so it is a plain function call rather than a stage.
 
 use core::convert::Infallible;
 
-use ig_faults::{FaultKind, FaultPlan, HealthReport, RecoveryAction, Stage as FaultStage};
+use ig_faults::{FaultPlan, HealthReport};
 use ig_imaging::prepared::PreparedImage;
 use ig_imaging::GrayImage;
 use ig_nn::Matrix;
 use ig_runtime::{
     Durable, Fingerprint, FingerprintHasher, Fingerprintable, RunContext, ShardSpec, Stage,
 };
-use rand::Rng;
 use std::ops::Range;
 
-use crate::features::{default_threads, FeatureGenerator, MatchBackend};
-use crate::labeler::{Labeler, LabelerConfig};
+use crate::features::{FeatureGenerator, MatchBackend};
 use crate::pattern::{Pattern, PatternSource};
 use crate::pipeline::PipelineConfig;
-use crate::tuning::{tune_labeler_in, TuningReport};
 use crate::{CoreError, Result};
 
 impl Fingerprintable for Pattern {
@@ -94,8 +91,11 @@ impl Fingerprintable for DevSet<'_> {
     }
 }
 
-/// Fingerprint of a pattern bank under a pipeline config: everything
-/// [`BuildFeatureGen`] reads that can change the generator it builds.
+/// Fingerprint of a pattern bank under a pipeline config and a context:
+/// everything [`BuildFeatureGen`] reads that can change the generator it
+/// builds, the context's thread budget and fault plan included. Every
+/// feature matrix computed with the generator is keyed on it, so two
+/// models built from one bank under different plans never share one.
 pub fn bank_fingerprint(
     patterns: &[Pattern],
     config: &PipelineConfig,
@@ -108,12 +108,13 @@ pub fn bank_fingerprint(
         MatchBackend::Pyramid => 1,
     });
     h.write_usize(effective_threads(config, ctx));
+    ctx.plan().fingerprint_into(&mut h);
     h.finish()
 }
 
 /// Worker threads a stage should use: an explicit config wins, then the
 /// context budget, then the hardware default (0).
-fn effective_threads(config: &PipelineConfig, ctx: &RunContext) -> usize {
+pub(crate) fn effective_threads(config: &PipelineConfig, ctx: &RunContext) -> usize {
     if config.threads > 0 {
         config.threads
     } else {
@@ -190,9 +191,7 @@ impl Stage for BuildFeatureGen<'_> {
 ///
 /// The fault plan is an explicit field rather than being read from the
 /// context, because training injects into the dev matrix while labeling
-/// never injects — and the key folds the plan in, so the stage opts out
-/// of the runtime's automatic plan keying ([`Stage::plan_sensitive`] is
-/// false).
+/// never injects; the key folds that field in.
 #[derive(Debug)]
 pub struct ComputeFeatureShard<'a> {
     fp: Fingerprint,
@@ -273,10 +272,6 @@ impl Stage for ComputeFeatureShard<'_> {
         self.fp
     }
 
-    fn plan_sensitive(&self) -> bool {
-        false // the constructor already folded the plan in
-    }
-
     // Feature rows are the expensive artifact a resumed sweep most wants
     // back, worth the cross-process single-flight claim. Only clean
     // computations persist: a matrix computed under an active plan embeds
@@ -305,148 +300,6 @@ impl Stage for ComputeFeatureShard<'_> {
     }
 }
 
-/// Tune (or fit fixed) and train the labeler on a dev feature matrix.
-///
-/// Consumes the caller's RNG — externally-seeded state the store cannot
-/// fingerprint — so this stage never caches; two runs with equal inputs
-/// but different RNG positions are different computations.
-#[derive(Debug)]
-pub struct TrainLabeler<'a, R: Rng> {
-    /// Dev feature matrix (images × patterns).
-    pub features: &'a Matrix,
-    /// Gold labels of the dev set.
-    pub dev_labels: &'a [usize],
-    /// Number of task classes.
-    pub num_classes: usize,
-    /// Pipeline configuration (tuning switch, fixed architecture).
-    pub config: &'a PipelineConfig,
-    /// Caller's RNG, advanced by tuning/initialization.
-    pub rng: &'a mut R,
-    /// Per-call health sink.
-    pub health: &'a HealthReport,
-}
-
-impl<R: Rng> Stage for TrainLabeler<'_, R> {
-    type Output = (Labeler, Option<TuningReport>);
-    type Error = CoreError;
-
-    fn id(&self) -> &'static str {
-        "core.train_labeler"
-    }
-
-    fn fingerprint(&self) -> Fingerprint {
-        Fingerprint::null() // never consulted: the stage is not cacheable
-    }
-
-    fn cacheable(&self) -> bool {
-        false
-    }
-
-    fn run(&mut self, ctx: &RunContext) -> Result<(Labeler, Option<TuningReport>)> {
-        let plan = ctx.plan();
-        if self.config.tune {
-            let threads = match effective_threads(self.config, ctx) {
-                0 => default_threads(),
-                n => n,
-            };
-            match tune_labeler_in(
-                self.features,
-                self.dev_labels,
-                self.num_classes,
-                &self.config.tuning,
-                self.rng,
-                threads,
-                plan,
-                Some(self.health),
-            ) {
-                Ok((labeler, report)) => Ok((labeler, Some(report))),
-                Err(e) => {
-                    self.health.record(
-                        FaultStage::Tuning,
-                        FaultKind::TuningFailure,
-                        RecoveryAction::FallbackFixedArchitecture,
-                        format!(
-                            "tuning failed ({e}); training fixed {:?}",
-                            self.config.fixed_hidden
-                        ),
-                    );
-                    let labeler = fit_fixed_or_prior(
-                        self.features,
-                        self.dev_labels,
-                        self.num_classes,
-                        self.config,
-                        self.rng,
-                        plan,
-                        self.health,
-                    )?;
-                    Ok((labeler, None))
-                }
-            }
-        } else {
-            let labeler = fit_fixed_or_prior(
-                self.features,
-                self.dev_labels,
-                self.num_classes,
-                self.config,
-                self.rng,
-                plan,
-                self.health,
-            )?;
-            Ok((labeler, None))
-        }
-    }
-}
-
-/// Rungs 2 and 3 of the training recovery ladder: fit the fixed fallback
-/// architecture; if that fails too, degrade to the class-prior labeler.
-#[allow(clippy::too_many_arguments)]
-fn fit_fixed_or_prior(
-    features: &Matrix,
-    dev_labels: &[usize],
-    num_classes: usize,
-    config: &PipelineConfig,
-    rng: &mut impl Rng,
-    plan: Option<&FaultPlan>,
-    health: &HealthReport,
-) -> Result<Labeler> {
-    let fixed = Labeler::new(
-        features.cols(),
-        LabelerConfig {
-            hidden: config.fixed_hidden.clone(),
-            num_classes,
-            l2: config.tuning.l2,
-            lbfgs: config.tuning.lbfgs,
-        },
-        rng,
-    )
-    .and_then(|mut labeler| {
-        labeler.fit_with_plan(features, dev_labels, plan, Some(health))?;
-        Ok(labeler)
-    });
-    match fixed {
-        Ok(labeler) => Ok(labeler),
-        Err(e) => {
-            health.record(
-                FaultStage::Training,
-                FaultKind::TrainingFailure,
-                RecoveryAction::FallbackClassPrior,
-                format!("fixed-architecture fit failed ({e}); using class priors"),
-            );
-            Labeler::class_prior(
-                features.cols(),
-                LabelerConfig {
-                    hidden: Vec::new(),
-                    num_classes,
-                    l2: config.tuning.l2,
-                    lbfgs: config.tuning.lbfgs,
-                },
-                dev_labels,
-                rng,
-            )
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn bank_fingerprint_tracks_backend_and_threads() {
+    fn bank_fingerprint_tracks_backend_threads_and_plan() {
         let ctx = RunContext::new(0);
         let patterns = vec![Pattern::crowd(GrayImage::filled(4, 4, 0.3))];
         let base = PipelineConfig::default();
@@ -475,6 +328,8 @@ mod tests {
         let fp = bank_fingerprint(&patterns, &base, &ctx);
         assert_ne!(fp, bank_fingerprint(&patterns, &exact, &ctx));
         assert_ne!(fp, bank_fingerprint(&patterns, &threaded, &ctx));
+        let faulted = ctx.clone().with_plan(Some(FaultPlan::chaos(1)));
+        assert_ne!(fp, bank_fingerprint(&patterns, &base, &faulted));
         assert_eq!(fp, bank_fingerprint(&patterns, &base, &ctx));
     }
 
@@ -482,6 +337,7 @@ mod tests {
     fn compute_feature_shard_persists_only_clean_runs() {
         let health = HealthReport::new();
         let patterns = vec![Pattern::crowd(GrayImage::filled(4, 4, 0.3))];
+        let bank = patterns.fingerprint();
         let generator = match FeatureGenerator::new_with_health(patterns, None, &health) {
             Ok(g) => g,
             Err(e) => panic!("generator build failed: {e}"),
@@ -489,7 +345,6 @@ mod tests {
         let images = [GrayImage::filled(6, 6, 0.5)];
         let refs: Vec<&GrayImage> = images.iter().collect();
         let matrix = Matrix::from_vec(1, 1, vec![0.5]);
-        let bank = Fingerprint::null();
         let whole = ig_runtime::ShardPlan::single(refs.len()).shard(0);
         let stage = |plan| {
             ComputeFeatureShard::over(bank, &generator, DevSet::Raw(&refs), whole, plan, &health)

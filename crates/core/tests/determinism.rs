@@ -2,9 +2,11 @@
 //! graph is a pure function of the run seed. Two fresh contexts with the
 //! same seed (separate artifact stores, so nothing is shared by
 //! reference) must produce bit-identical weak labels and probabilities,
-//! and memoization must not change the outcome.
+//! and memoization must not change the outcome: a warm store serves the
+//! same bits a fresh run computes, and models that share a store never
+//! read each other's artifacts.
 
-use ig_core::{DevSet, InspectorGadget, Pattern, PipelineConfig, RunContext};
+use ig_core::{DevSet, FaultPlan, InspectorGadget, Pattern, PipelineConfig, RunContext};
 use ig_imaging::GrayImage;
 use ig_nn::Matrix;
 use rand::rngs::StdRng;
@@ -77,12 +79,82 @@ fn same_seed_produces_identical_weak_labels() {
     );
 }
 
+/// A second run on a warm context is served from the store (the bank's
+/// generator and the dev features both hit) and is bit-equal to a fresh
+/// context's run.
 #[test]
 fn memoization_does_not_change_the_outcome() {
-    let (labels_memo, proba_memo) = run_once(&RunContext::new(11));
-    let (labels_raw, proba_raw) = run_once(&RunContext::new(11).with_memoization(false));
-    assert_eq!(labels_memo, labels_raw);
-    assert_eq!(proba_memo.as_slice(), proba_raw.as_slice());
+    let warm = RunContext::new(11);
+    run_once(&warm);
+    let (hits, misses) = (warm.store().hits(), warm.store().misses());
+    let (labels_warm, proba_warm) = run_once(&warm);
+    assert_eq!(
+        warm.store().hits(),
+        hits + 2,
+        "generator and dev features hit"
+    );
+    assert_eq!(warm.store().misses(), misses, "nothing recomputed");
+    let (labels_fresh, proba_fresh) = run_once(&RunContext::new(11));
+    assert_eq!(labels_warm, labels_fresh);
+    assert_eq!(proba_warm.as_slice(), proba_fresh.as_slice());
+}
+
+/// Two models trained from one pattern bank under one shared store: one
+/// clean, one under a plan that flattens every pattern. Labeling runs
+/// without a plan, so only the bank fingerprint tells the two models'
+/// feature matrices apart; each model must label with its own generator's
+/// features, never with the other model's memoized matrix.
+#[test]
+fn models_from_one_bank_under_different_plans_keep_their_own_features() {
+    let (patterns, images, labels) = make_task(30, 5);
+    let refs: Vec<&GrayImage> = images.iter().collect();
+    let config = PipelineConfig {
+        tune: false,
+        threads: 2,
+        ..Default::default()
+    };
+    let clean = RunContext::new(11);
+    let degenerate = clean.clone().with_plan(Some(FaultPlan {
+        degenerate_pattern_rate: 1.0,
+        ..FaultPlan::none(11)
+    }));
+    let models: Vec<(&RunContext, InspectorGadget)> = [&clean, &degenerate]
+        .into_iter()
+        .map(|ctx| {
+            let ig = InspectorGadget::train_in(
+                ctx,
+                patterns.clone(),
+                DevSet::Raw(&refs[..20]),
+                &labels[..20],
+                2,
+                &config,
+                &mut ctx.rng(0),
+            )
+            .expect("training recovers on the toy task");
+            (ctx, ig)
+        })
+        .collect();
+    let test = &refs[20..];
+    let own: Vec<Matrix> = models
+        .iter()
+        .map(|(_, ig)| ig.feature_generator().feature_matrix(test))
+        .collect();
+    assert_ne!(
+        own[0].as_slice(),
+        own[1].as_slice(),
+        "flattened patterns must change the features"
+    );
+    for ((ctx, ig), own) in models.iter().zip(&own) {
+        let memoized = ig.features_in(ctx, DevSet::Raw(test));
+        assert_eq!(memoized.as_slice(), own.as_slice());
+        let weak = ig.label_in(ctx, DevSet::Raw(test));
+        let direct = ig.label(test);
+        assert_eq!(weak.labels, direct.labels);
+        assert_eq!(
+            weak.probabilities.as_slice(),
+            direct.probabilities.as_slice()
+        );
+    }
 }
 
 #[test]

@@ -2,9 +2,7 @@
 
 use ig_check::{assume, ensure, ensure_eq, properties};
 use ig_eval::metrics::{binary_f1, macro_f1, ConfusionMatrix, PrfScores};
-use ig_eval::split::stratified_split;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 properties! {
     cases = 128;
@@ -61,18 +59,5 @@ properties! {
         let correct = pairs.iter().filter(|(g, p)| g == p).count();
         ensure!((cm.accuracy() - correct as f64 / pairs.len() as f64).abs() < 1e-12);
         ensure!((0.0..=1.0).contains(&cm.macro_f1()));
-    }
-
-    fn stratified_split_partitions(g) {
-        let labels = g.vec(2..60, |g| g.gen_range(0usize..3));
-        let frac = g.gen_range(0.05f64..0.6);
-        let seed = g.gen::<u64>();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let split = stratified_split(&labels, frac, &mut rng);
-        ensure_eq!(split.train.len() + split.test.len(), labels.len());
-        let mut all: Vec<usize> = split.train.iter().chain(&split.test).copied().collect();
-        all.sort_unstable();
-        all.dedup();
-        ensure_eq!(all.len(), labels.len());
     }
 }

@@ -170,9 +170,9 @@ fn run_durability_arm(
 ) -> Option<(f64, f64, DiskStats)> {
     let specs = probe_specs();
     let keys: Vec<u64> = {
-        // Plan-insensitive stages key by (id, fingerprint, seed) only, so
-        // a planless context derives the same durable keys the faulted
-        // contexts below will write under.
+        // Dataset generation does not hash the plan, so a planless
+        // context derives the same durable keys the faulted contexts
+        // below will write under.
         let keyer = RunContext::new(seed);
         specs
             .iter()

@@ -176,8 +176,8 @@ pub fn f1(num_classes: usize, gold: &[usize], pred: &[usize]) -> f64 {
 }
 
 /// A sensible default policy combination per dataset kind, standing in
-/// for a full Section 4.2 search in the sweep experiments (fig10/table4
-/// run the actual search).
+/// for the Section 4.2 policy search: no driver runs
+/// `ig_augment::search_policies` (the `surface_inspection` example does).
 pub fn default_policies(kind: DatasetKind) -> Vec<Policy> {
     match kind {
         // Cracks: stretch + rotate (line-shaped defects).
@@ -288,7 +288,7 @@ pub struct IgRun {
 ///
 /// `dev` is the (possibly prefixed) development set; patterns come from
 /// the crowd workflow, get augmented with `method`, then the tuned
-/// labeler weak-labels the test set. All cacheable stages memoize in
+/// labeler weak-labels the test set. Every stage memoizes in
 /// `ctx`'s artifact store.
 #[allow(clippy::too_many_arguments)]
 pub fn run_inspector_gadget(
@@ -443,12 +443,6 @@ impl Report {
         let json_path = self.out_dir.join(format!("{}.json", self.name));
         let _ = std::fs::write(json_path, payload.to_json().pretty());
     }
-}
-
-/// All dataset kinds at a scale — NEU excluded at quick scale for speed
-/// in CI-style runs? No: keep all five; quick NEU is small.
-pub fn all_kinds() -> [DatasetKind; 5] {
-    DatasetKind::all()
 }
 
 /// Human-readable task tag used by Table 1.

@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! ig-experiments <experiment> [--scale tiny|quick|medium|paper|ooc]
-//!                [--seed N] [--out DIR] [--no-memo] [--store DIR]
-//!                [--resume] [--budget BYTES] [--health-exit]
+//!                [--seed N] [--out DIR] [--store DIR] [--resume]
+//!                [--budget BYTES] [--health-exit]
 //!
 //! experiments: table1 table2 table3 table4 table5 table6
 //!              fig9 fig10 fig11 combine chaos ooc all
@@ -27,8 +27,6 @@
 //! shared by all drivers it dispatches: datasets, prepared-image caches
 //! and feature matrices memoize in the context's artifact store, so an
 //! `all` run pyramids each image exactly once across experiments.
-//! `--no-memo` disables the store (every stage recomputes) — the A/B for
-//! benchmarking what memoization saves.
 //!
 //! `--store DIR` adds a crash-safe on-disk tier beneath the in-memory
 //! store: durable stages (dataset generation, clean feature matrices)
@@ -67,8 +65,8 @@ use std::sync::Arc;
 
 const USAGE: &str =
     "usage: ig-experiments <table1..table6|fig9|fig10|fig11|combine|chaos|ooc|all> \
-     [--scale tiny|quick|medium|paper|ooc] [--seed N] [--out DIR] [--no-memo] \
-     [--store DIR] [--resume] [--budget BYTES] [--health-exit]";
+     [--scale tiny|quick|medium|paper|ooc] [--seed N] [--out DIR] [--store DIR] \
+     [--resume] [--budget BYTES] [--health-exit]";
 
 /// A driver: runs one experiment and writes its results. A failure it
 /// detects in its own output (as `ooc`'s bit-identity check) is its exit
@@ -118,7 +116,6 @@ struct Args {
     scale: ScalePlan,
     seed: u64,
     out: String,
-    memoize: bool,
     store: Option<String>,
     resume: bool,
     health_exit: bool,
@@ -138,7 +135,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command, String>
     let mut scale = ScalePlan::medium();
     let mut seed = 42u64;
     let mut out = "results".to_string();
-    let mut memoize = true;
     let mut store = None;
     let mut resume = false;
     let mut health_exit = false;
@@ -154,9 +150,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command, String>
             }
             "--out" => {
                 out = args.next().ok_or("--out needs a value")?;
-            }
-            "--no-memo" => {
-                memoize = false;
             }
             "--store" => {
                 store = Some(args.next().ok_or("--store needs a value")?);
@@ -181,7 +174,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command, String>
         scale,
         seed,
         out,
-        memoize,
         store,
         resume,
         health_exit,
@@ -220,9 +212,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut ctx = RunContext::new(args.seed)
-        .with_scale(args.scale)
-        .with_memoization(args.memoize);
+    let mut ctx = RunContext::new(args.seed).with_scale(args.scale);
     // `--resume` is `--store <out>/store`: both attach the durable tier,
     // and resuming is nothing more than rerunning over a store directory
     // that already holds a previous (possibly killed) run's artifacts.
@@ -266,8 +256,7 @@ fn main() -> ExitCode {
     }
     let store = env.ctx.store();
     println!(
-        "[runtime: {} stage runs, artifact store {} entries, {} hits / {} misses]",
-        env.ctx.stage_runs(),
+        "[runtime: artifact store {} entries, {} hits / {} misses]",
         store.len(),
         store.hits(),
         store.misses()
@@ -331,6 +320,8 @@ mod tests {
         assert_eq!(err(&["--seed"]), "unknown experiment --seed");
         assert_eq!(err(&[]), "missing experiment name");
         assert_eq!(err(&["table1", "--bogus"]), "unknown flag --bogus");
+        // The retired memoization switch is an unknown flag (exit 2).
+        assert_eq!(err(&["all", "--no-memo"]), "unknown flag --no-memo");
     }
 
     #[test]
@@ -350,7 +341,7 @@ mod tests {
             };
             assert_eq!(args.experiment, name);
             assert_eq!((args.seed, args.out.as_str()), (7, "o"));
-            assert!(args.resume && args.health_exit && args.memoize);
+            assert!(args.resume && args.health_exit);
             let ran: Vec<&str> = args.drivers.iter().map(|&(ran, _)| ran).collect();
             if name == "all" {
                 assert_eq!(ran.len(), EXPERIMENTS.len() - 1);

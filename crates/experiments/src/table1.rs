@@ -1,7 +1,7 @@
 //! Table 1: dataset statistics — image size, N (N_D), N_V (N_DV), defect
 //! and task type — for the generated simulacra.
 
-use crate::common::{all_kinds, task_name, ExpEnv, Prepared, Report};
+use crate::common::{task_name, ExpEnv, Prepared, Report};
 use crate::json::json_record;
 use std::process::ExitCode;
 
@@ -30,7 +30,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
         "Dataset", "Image size", "N (N_D)", "N_V (N_DV)", "Defect Type", "Task Type"
     ));
     let mut rows = Vec::new();
-    for kind in all_kinds() {
+    for kind in ig_synth::spec::DatasetKind::all() {
         let prepared = Prepared::new(&env.ctx, kind);
         let (w, h) = prepared.dataset.image_dims();
         let dev = prepared.dev_images();

@@ -1,9 +1,10 @@
 //! Table 4: pattern augmentation ablation — crowd patterns only vs
 //! policy-based vs GAN-based vs both, per dataset.
 
-use crate::common::{all_kinds, run_inspector_gadget, ExpEnv, Prepared, Report};
+use crate::common::{run_inspector_gadget, ExpEnv, Prepared, Report};
 use crate::json::json_record;
 use ig_augment::AugmentMethod;
+use ig_synth::spec::DatasetKind;
 use std::process::ExitCode;
 
 json_record! {
@@ -30,7 +31,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     ));
     let budget = env.scale().augment_budget;
     let mut rows = Vec::new();
-    for kind in all_kinds() {
+    for kind in DatasetKind::all() {
         let prepared = Prepared::new(&env.ctx, kind);
         let dev = prepared.dev_images();
         let mut scores = [0.0f64; 4];

@@ -2,10 +2,11 @@
 //! matching failure / noisy data / difficult-to-humans, using the
 //! generators' gold noise/difficulty flags.
 
-use crate::common::{all_kinds, run_inspector_gadget, ExpEnv, Prepared, Report};
+use crate::common::{run_inspector_gadget, ExpEnv, Prepared, Report};
 use crate::json::json_record;
 use ig_augment::AugmentMethod;
 use ig_eval::error_analysis::{categorize_errors, SampleDiagnostics};
+use ig_synth::spec::DatasetKind;
 use std::process::ExitCode;
 
 json_record! {
@@ -31,7 +32,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
         "Dataset", "Matching failure", "Noisy data", "Difficult to humans"
     ));
     let mut rows = Vec::new();
-    for kind in all_kinds() {
+    for kind in DatasetKind::all() {
         let prepared = Prepared::new(&env.ctx, kind);
         let dev = prepared.dev_images();
         let Some(run) = run_inspector_gadget(

@@ -11,8 +11,9 @@
 //! `check` exits 0 when the workspace upholds every invariant, 1 when any
 //! violation (including a malformed allow annotation or a busted
 //! suppression budget) survives, and 2 on usage or I/O errors. A
-//! machine-readable report is written to `results/lint_report.json` unless
-//! `--report` overrides the path.
+//! machine-readable report is written to `results/lint_report.json` (for
+//! local inspection; it is not committed) unless `--report` overrides the
+//! path.
 //!
 //! `baseline` regenerates the committed suppression-debt record from the
 //! current workspace state. `callgraph` dumps the byte-stable workspace

@@ -1,8 +1,8 @@
 //! F1: fingerprint completeness for `impl Stage` blocks.
 //!
 //! The memoization contract (DESIGN.md §"Stage contract") is that a
-//! stage's cache key — `H(id, fingerprint, seed, plan)` — covers every
-//! input `run()` can observe. A field read by `run()` but absent from
+//! stage's cache key — `H(id, fingerprint, seed)` — covers every input
+//! `run()` can observe. A field read by `run()` but absent from
 //! `fingerprint()` means two differently-configured stages collide on one
 //! cache slot and the second run is served the first run's artifact; the
 //! inverse (hashed but never read) splits one logical artifact across
@@ -27,9 +27,9 @@ use crate::report::Diagnostic;
 use crate::symbols::{Resolution, Symbols};
 
 /// `RunContext` accessors that key the cache only if the stage hashes
-/// them. (`seed`/`rng`/`plan` are folded into the key by the runtime
-/// itself; `health`/`store`/`stage_runs` are observability sinks.)
-const KEYED_CTX: &[&str] = &["threads", "scale"];
+/// them. (`seed`/`rng` are folded into the key by the runtime itself;
+/// `health`/`store` are observability sinks.)
+const KEYED_CTX: &[&str] = &["threads", "scale", "plan"];
 
 /// Field names that are observability sinks by convention: a health
 /// report collects counters without influencing the artifact bytes.
@@ -85,21 +85,6 @@ fn check_impl(
         .copied()
         .unwrap_or(false)
     {
-        return;
-    }
-    // A null fingerprint or `cacheable() == false` opts the stage out of
-    // memoization entirely — there is no key to be incomplete.
-    if span_has_ident(ctx, ast.fns[fp_idx].body.span, "null") {
-        return;
-    }
-    if find("cacheable").is_some_and(|c| {
-        ast.fns[c]
-            .body
-            .span
-            .tokens(ctx.tokens)
-            .iter()
-            .any(|t| t.text == "false")
-    }) {
         return;
     }
     let ty = im.self_path.last().cloned().unwrap_or_default();
@@ -231,8 +216,8 @@ fn check_impl(
             tok,
             format!(
                 "`ctx.{acc}()` influences `{ty}::run` but is not folded into \
-                 `fingerprint()` — runs under different context budgets would share \
-                 one cache key; fold the accessor's value into the fingerprint"
+                 `fingerprint()` — runs under different contexts would share one \
+                 cache key; fold the accessor's value into the fingerprint"
             ),
         ));
     }
@@ -497,10 +482,6 @@ fn span_idents(ctx: &FileContext, span: Span, out: &mut BTreeSet<String>) {
             out.insert(t.text.clone());
         }
     }
-}
-
-fn span_has_ident(ctx: &FileContext, span: Span, name: &str) -> bool {
-    span.tokens(ctx.tokens).iter().any(|t| t.is_ident(name))
 }
 
 fn diag(ctx: &FileContext, tok: usize, message: String) -> Diagnostic {

@@ -152,10 +152,11 @@ fn f1_fingerprint_fires_at_expected_lines() {
     );
     // 35: `self.deep` read through the inherent `helper()` (interprocedural);
     // 43: `self.relic` hashed but never read; 47: `self.bins` read-unhashed;
-    // 49: `ctx.threads()` influences run() but is not keyed.
+    // 49: `ctx.threads()` influences run() but is not keyed; 85: nor is
+    // `ctx.plan()` — the runtime keys on id, fingerprint and seed only.
     assert_eq!(
         lines_for(&diags, "fingerprint-completeness"),
-        vec![35, 43, 47, 49],
+        vec![35, 43, 47, 49, 85],
         "diags: {diags:#?}"
     );
     // The clean stage contributes nothing.

@@ -2,7 +2,6 @@
 
 #[cfg(debug_assertions)]
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 #[cfg(debug_assertions)]
 use std::sync::Mutex;
@@ -42,42 +41,38 @@ struct SaltLedger {
 /// report but may carry a different fault plan (see
 /// [`RunContext::with_plan`]), which is how the chaos experiment runs a
 /// clean arm and a faulted arm over the same memoized dataset artifacts
-/// without ever serving a faulted artifact to the clean arm — the plan is
-/// part of every plan-sensitive cache key.
+/// without ever serving a faulted artifact to the clean arm — a stage
+/// that reads the plan hashes it into its own fingerprint.
 #[derive(Debug, Clone)]
 pub struct RunContext {
     seed: u64,
     threads: usize,
-    memoize: bool,
     scale: ScalePlan,
     plan: Option<FaultPlan>,
     store: Arc<ArtifactStore>,
     health: Arc<HealthReport>,
-    stage_runs: Arc<AtomicU64>,
     #[cfg(debug_assertions)]
     salts: Arc<Mutex<SaltLedger>>,
 }
 
 impl RunContext {
     /// Context with the given seed, no fault plan, hardware-default
-    /// threads, quick scale, memoization on.
+    /// threads, quick scale.
     pub fn new(seed: u64) -> RunContext {
         RunContext {
             seed,
             threads: 0,
-            memoize: true,
             scale: ScalePlan::quick(),
             plan: None,
             store: Arc::new(ArtifactStore::new()),
             health: Arc::new(HealthReport::new()),
-            stage_runs: Arc::new(AtomicU64::new(0)),
             #[cfg(debug_assertions)]
             salts: Arc::new(Mutex::new(SaltLedger::default())),
         }
     }
 
-    /// Replace the fault plan (shares the store: plan-sensitive cache
-    /// keys keep the arms apart).
+    /// Replace the fault plan (shares the store: stages that read the plan
+    /// hash it, which keeps the arms apart).
     pub fn with_plan(mut self, plan: Option<FaultPlan>) -> RunContext {
         self.plan = plan;
         self
@@ -92,12 +87,6 @@ impl RunContext {
     /// Set the scale plan.
     pub fn with_scale(mut self, scale: ScalePlan) -> RunContext {
         self.scale = scale;
-        self
-    }
-
-    /// Turn memoization on or off (off: every stage recomputes).
-    pub fn with_memoization(mut self, on: bool) -> RunContext {
-        self.memoize = on;
         self
     }
 
@@ -188,37 +177,24 @@ impl RunContext {
         &self.store
     }
 
-    /// Stages actually executed (cache misses + non-cacheable runs).
-    pub fn stage_runs(&self) -> u64 {
-        self.stage_runs.load(Ordering::Relaxed)
-    }
-
-    /// The cache key [`RunContext::run`] would use for `stage`. The same
-    /// key addresses the artifact in the durable tier, so harnesses can
-    /// locate (or deliberately corrupt) a stage's on-disk artifact in
-    /// crash drills without duplicating the key derivation.
+    /// The cache key [`RunContext::run`] uses for `stage` under this
+    /// context: `H(id, fingerprint, seed)`. Everything else a stage reads,
+    /// the fault plan included, is the stage's own to hash. The same key
+    /// addresses the artifact in the durable tier, so harnesses can locate
+    /// (or deliberately corrupt) a stage's on-disk artifact in crash drills
+    /// without duplicating the key derivation.
     pub fn cache_key_for(&self, stage: &impl Stage) -> Fingerprint {
-        self.cache_key(stage)
-    }
-
-    /// Cache key for a stage under this context: the stage's own
-    /// fingerprint, the run seed, and (for plan-sensitive stages) the
-    /// fault plan.
-    fn cache_key(&self, stage: &impl Stage) -> Fingerprint {
         let mut h = FingerprintHasher::new();
         h.write_str(stage.id());
         stage.fingerprint().fingerprint_into(&mut h);
         h.write_u64(self.seed);
-        if stage.plan_sensitive() {
-            self.plan.fingerprint_into(&mut h);
-        }
         h.finish()
     }
 
     /// Execute a stage, serving it from the artifact store when possible.
     ///
-    /// A cacheable stage is looked up in the in-memory tier first; a hit
-    /// returns the original artifact. On a miss, a stage that declares
+    /// The stage is looked up in the in-memory tier first; a hit returns
+    /// the original artifact. On a miss, a stage that declares
     /// [`Stage::durable`] under a context with a [`DiskStore`] attached
     /// goes through [`DiskStore::begin_flight`]: a verified artifact on
     /// disk is decoded via [`Stage::decode`] and promoted into memory;
@@ -227,16 +203,11 @@ impl RunContext {
     /// and read the published artifact back, so each artifact is computed
     /// once per store root, not once per process. The durable tier's
     /// encode/decode contract plus checksum verification make a disk hit
-    /// bit-identical to a recompute. Every other miss (and every
-    /// non-cacheable stage) runs the stage once and never touches the
-    /// disk. A failed stage's error is returned as is: nothing is cached,
-    /// published or recorded in the health report.
+    /// bit-identical to a recompute. Every other miss runs the stage once
+    /// and never touches the disk. A failed stage's error is returned as
+    /// is: nothing is cached, published or recorded in the health report.
     pub fn run<S: Stage>(&self, stage: &mut S) -> Result<Arc<S::Output>, S::Error> {
-        if !(self.memoize && stage.cacheable()) {
-            self.stage_runs.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::new(self.execute(stage)?));
-        }
-        let key = self.cache_key(stage);
+        let key = self.cache_key_for(stage);
         if let Some(artifact) = self.store.get(stage.id(), key) {
             // A downcast failure means two stages share an id; fall
             // through and recompute (the insert then repairs the entry).
@@ -250,13 +221,12 @@ impl RunContext {
         }
     }
 
-    /// Execute a cacheable stage on a miss and remember its output.
+    /// Execute a stage on a miss and remember its output.
     fn compute<S: Stage>(
         &self,
         stage: &mut S,
         key: Fingerprint,
     ) -> Result<Arc<S::Output>, S::Error> {
-        self.stage_runs.fetch_add(1, Ordering::Relaxed);
         let output = Arc::new(self.execute(stage)?);
         self.store.insert(stage.id(), key, output.clone());
         Ok(output)
@@ -317,21 +287,6 @@ impl RunContext {
         self.exit_stage();
         result
     }
-
-    /// Like [`RunContext::run`] but hands back an owned output: moves out
-    /// of the `Arc` when this call produced the only reference (always
-    /// true for non-cacheable stages), clones otherwise.
-    pub fn run_owned<S>(&self, stage: &mut S) -> Result<S::Output, S::Error>
-    where
-        S: Stage,
-        S::Output: Clone,
-    {
-        let arc = self.run(stage)?;
-        match Arc::try_unwrap(arc) {
-            Ok(owned) => Ok(owned),
-            Err(shared) => Ok((*shared).clone()),
-        }
-    }
 }
 
 impl Fingerprintable for Fingerprint {
@@ -346,13 +301,12 @@ mod tests {
     use super::*;
     use core::convert::Infallible;
     use ig_faults::FaultKind;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Test stage: doubles every element; counts real executions.
     struct Doubler<'a> {
         input: Vec<u64>,
         calls: &'a AtomicUsize,
-        cacheable: bool,
     }
 
     impl Stage for Doubler<'_> {
@@ -365,10 +319,6 @@ mod tests {
 
         fn fingerprint(&self) -> Fingerprint {
             self.input.fingerprint()
-        }
-
-        fn cacheable(&self) -> bool {
-            self.cacheable
         }
 
         fn run(&mut self, _ctx: &RunContext) -> Result<Vec<u64>, Infallible> {
@@ -384,14 +334,12 @@ mod tests {
         let mut stage = Doubler {
             input: vec![1, 2, 3],
             calls: &calls,
-            cacheable: true,
         };
         let a = crate::infallible(ctx.run(&mut stage));
         let b = crate::infallible(ctx.run(&mut stage));
         assert_eq!(*a, vec![2, 4, 6]);
         assert!(Arc::ptr_eq(&a, &b), "hit returns the cached artifact");
         assert_eq!(calls.load(Ordering::Relaxed), 1);
-        assert_eq!(ctx.stage_runs(), 1);
     }
 
     #[test]
@@ -401,12 +349,10 @@ mod tests {
         let mut a = Doubler {
             input: vec![1],
             calls: &calls,
-            cacheable: true,
         };
         let mut b = Doubler {
             input: vec![2],
             calls: &calls,
-            cacheable: true,
         };
         crate::infallible(ctx.run(&mut a));
         crate::infallible(ctx.run(&mut b));
@@ -420,7 +366,6 @@ mod tests {
         let mut stage = Doubler {
             input: vec![1],
             calls: &calls,
-            cacheable: true,
         };
         crate::infallible(store_sharing.run(&mut stage));
         // Same store, different seed: the clone must not hit.
@@ -428,67 +373,6 @@ mod tests {
         reseeded.seed = 2;
         crate::infallible(reseeded.run(&mut stage));
         assert_eq!(calls.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn plan_scopes_the_cache() {
-        let clean = RunContext::new(1);
-        let calls = AtomicUsize::new(0);
-        let mut stage = Doubler {
-            input: vec![3],
-            calls: &calls,
-            cacheable: true,
-        };
-        crate::infallible(clean.run(&mut stage));
-        let chaotic = clean.clone().with_plan(Some(FaultPlan::chaos(9)));
-        crate::infallible(chaotic.run(&mut stage));
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            2,
-            "plan-sensitive stage must not cross arms"
-        );
-    }
-
-    #[test]
-    fn non_cacheable_always_runs() {
-        let ctx = RunContext::new(1);
-        let calls = AtomicUsize::new(0);
-        let mut stage = Doubler {
-            input: vec![1],
-            calls: &calls,
-            cacheable: false,
-        };
-        crate::infallible(ctx.run(&mut stage));
-        crate::infallible(ctx.run(&mut stage));
-        assert_eq!(calls.load(Ordering::Relaxed), 2);
-        assert!(ctx.store().is_empty());
-    }
-
-    #[test]
-    fn memoization_off_always_runs() {
-        let ctx = RunContext::new(1).with_memoization(false);
-        let calls = AtomicUsize::new(0);
-        let mut stage = Doubler {
-            input: vec![1],
-            calls: &calls,
-            cacheable: true,
-        };
-        crate::infallible(ctx.run(&mut stage));
-        crate::infallible(ctx.run(&mut stage));
-        assert_eq!(calls.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn run_owned_moves_out_of_unique_arc() {
-        let ctx = RunContext::new(1);
-        let calls = AtomicUsize::new(0);
-        let mut stage = Doubler {
-            input: vec![5],
-            calls: &calls,
-            cacheable: false,
-        };
-        let owned: Vec<u64> = crate::infallible(ctx.run_owned(&mut stage));
-        assert_eq!(owned, vec![10]);
     }
 
     #[test]
@@ -515,11 +399,7 @@ mod tests {
         }
 
         fn fingerprint(&self) -> Fingerprint {
-            Fingerprint::null()
-        }
-
-        fn cacheable(&self) -> bool {
-            false
+            self.salt.fingerprint()
         }
 
         fn run(&mut self, ctx: &RunContext) -> Result<u64, Infallible> {
@@ -535,9 +415,12 @@ mod tests {
             stage_id: "test.salty-a",
             salt: 0x5a17,
         };
-        // The same stage may redraw its own salt (re-runs)...
+        // The same stage may redraw its own salt (a re-run under another
+        // seed shares the ledger but misses the store)...
         crate::infallible(ctx.run(&mut a));
-        crate::infallible(ctx.run(&mut a));
+        let mut reseeded = ctx.clone();
+        reseeded.seed = 2;
+        crate::infallible(reseeded.run(&mut a));
         // ...and a different stage with a different salt is the intended
         // pattern.
         let mut b = Salty {
@@ -564,7 +447,7 @@ mod tests {
         crate::infallible(ctx.run(&mut b));
     }
 
-    /// Cacheable, durable stage: doubles its input and persists via the
+    /// Durable stage: doubles its input and persists via the
     /// codec, so disk hits can be distinguished from recomputes by the
     /// call counter.
     struct DurableDoubler<'a> {
@@ -582,10 +465,6 @@ mod tests {
 
         fn fingerprint(&self) -> Fingerprint {
             self.input.fingerprint()
-        }
-
-        fn plan_sensitive(&self) -> bool {
-            false
         }
 
         fn durable(&self) -> bool {
@@ -643,7 +522,6 @@ mod tests {
         input: Vec<u64>,
         calls: &'a AtomicUsize,
         fail: bool,
-        cacheable: bool,
         durable: bool,
     }
 
@@ -657,10 +535,6 @@ mod tests {
 
         fn fingerprint(&self) -> Fingerprint {
             self.input.fingerprint()
-        }
-
-        fn cacheable(&self) -> bool {
-            self.cacheable
         }
 
         fn durable(&self) -> bool {
@@ -686,14 +560,13 @@ mod tests {
     }
 
     #[test]
-    fn failing_stage_runs_once_and_returns_its_error() {
+    fn failing_stage_executes_once_and_returns_its_error() {
         let ctx = RunContext::new(1);
         let calls = AtomicUsize::new(0);
         let mut stage = Fallible {
             input: vec![1],
             calls: &calls,
             fail: true,
-            cacheable: false,
             durable: false,
         };
         assert_eq!(
@@ -701,7 +574,6 @@ mod tests {
             Err("injected failure")
         );
         assert_eq!(calls.load(Ordering::Relaxed), 1, "no retry");
-        assert_eq!(ctx.stage_runs(), 1);
         assert!(
             ctx.health().is_clean(),
             "a stage error is not a fault event"
@@ -709,14 +581,13 @@ mod tests {
     }
 
     #[test]
-    fn failing_cacheable_stage_caches_nothing() {
+    fn failing_stage_caches_nothing() {
         let ctx = RunContext::new(1);
         let calls = AtomicUsize::new(0);
         let mut stage = Fallible {
             input: vec![3],
             calls: &calls,
             fail: true,
-            cacheable: true,
             durable: false,
         };
         assert!(ctx.run(&mut stage).is_err());
@@ -753,7 +624,6 @@ mod tests {
             input: vec![4, 5],
             calls: &calls,
             fail: true,
-            cacheable: true,
             durable: true,
         };
         assert_eq!(
@@ -801,7 +671,6 @@ mod tests {
         let second = crate::infallible(resumed.run(&mut stage));
         assert_eq!(*second, *first);
         assert_eq!(calls.load(Ordering::Relaxed), 1, "no recompute on resume");
-        assert_eq!(resumed.stage_runs(), 0);
         assert_eq!(disk.stats().hits, 1);
 
         // A different seed keys differently and must recompute.
@@ -821,7 +690,7 @@ mod tests {
         };
         let first = crate::infallible(writer.run(&mut stage));
         // Corrupt the file on disk behind the store's back.
-        let key = writer.cache_key(&stage);
+        let key = writer.cache_key_for(&stage);
         let path = disk.artifact_path(stage.id(), key);
         let mut bytes = match std::fs::read(&path) {
             Ok(b) => b,
@@ -917,7 +786,6 @@ mod tests {
         let mut stage = Doubler {
             input: vec![1, 2],
             calls: &calls,
-            cacheable: true,
         };
         crate::infallible(ctx.run(&mut stage));
         crate::infallible(ctx.run(&mut stage));
@@ -936,7 +804,7 @@ mod tests {
         };
         // A checksum-valid artifact whose payload this codec cannot read,
         // as an older build of the stage would have left it.
-        let key = ctx.cache_key(&stage);
+        let key = ctx.cache_key_for(&stage);
         match disk.begin_flight(stage.id(), key, None, ctx.health()) {
             Flight::Producer(claim) => assert!(claim.publish(b"old", None, ctx.health())),
             Flight::Ready(_) => panic!("fresh store cannot be ready"),
@@ -953,8 +821,8 @@ mod tests {
 
     #[test]
     fn faulted_plan_skips_nothing_but_chaos_arms_stay_apart_on_disk() {
-        // A plan-insensitive durable stage shares its artifact across
-        // arms; a plan-sensitive one must not collide on disk either.
+        // A durable stage that does not hash the plan shares its artifact
+        // across arms.
         let disk = temp_disk("arms");
         let calls = AtomicUsize::new(0);
         let clean = RunContext::new(5).with_disk(disk.clone());
@@ -965,8 +833,8 @@ mod tests {
         };
         crate::infallible(clean.run(&mut stage));
         crate::infallible(chaotic.run(&mut stage));
-        // Plan-insensitive: the chaos arm reuses the clean artifact from
-        // the shared memory tier.
+        // The chaos arm reuses the clean artifact from the shared memory
+        // tier.
         assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 }

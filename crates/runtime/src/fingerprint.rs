@@ -30,13 +30,6 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
-    /// The fingerprint of "no input": what a fresh hasher finishes to.
-    /// Non-cacheable stages may return it from [`crate::Stage::fingerprint`];
-    /// the runtime never reads it for them.
-    pub fn null() -> Fingerprint {
-        FingerprintHasher::new().finish()
-    }
-
     /// Fold another fingerprint into this one (order-sensitive).
     pub fn mix(self, other: Fingerprint) -> Fingerprint {
         let mut h = FingerprintHasher::new();

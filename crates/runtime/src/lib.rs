@@ -12,7 +12,7 @@
 //!   shared [`HealthReport`](ig_faults::HealthReport), and the artifact
 //!   store;
 //! * [`ArtifactStore`]: an in-memory content-addressed cache memoizing
-//!   stage outputs by `(stage id, input fingerprint, seed, fault plan)`,
+//!   stage outputs by `(stage id, input fingerprint, seed)`,
 //!   so e.g. dev-set `PreparedImage`s and the dev feature matrix are
 //!   computed once per run and shared across experiment arms by
 //!   construction;

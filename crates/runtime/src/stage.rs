@@ -7,12 +7,10 @@ use crate::fingerprint::Fingerprint;
 ///
 /// Stages are plain structs holding (references to) their inputs and
 /// configuration; [`RunContext::run`] executes them and memoizes their
-/// outputs in the artifact store when [`Stage::cacheable`] allows it.
+/// outputs in the artifact store under `H(id, fingerprint, seed)`.
 ///
 /// `run` takes `&mut self` so a stage can *consume* owned inputs (via
-/// `Option::take`) or drive an externally-seeded RNG — stages doing the
-/// latter must report `cacheable() == false`, because RNG state cannot be
-/// fingerprinted.
+/// `Option::take`).
 pub trait Stage {
     /// The artifact this stage produces. `Send + Sync + 'static` so it
     /// can live in the shared store behind an `Arc`.
@@ -26,27 +24,14 @@ pub trait Stage {
     fn id(&self) -> &'static str;
 
     /// Structural fingerprint over every input and configuration field
-    /// that can affect the output. Never consulted when
-    /// [`Stage::cacheable`] is false — such stages may return
-    /// [`Fingerprint::null`].
+    /// that can affect the output, including whatever `run` reads from
+    /// the context besides the seed: a stage that reads
+    /// [`RunContext::plan`], [`RunContext::threads`] or
+    /// [`RunContext::scale`] hashes what it reads.
     fn fingerprint(&self) -> Fingerprint;
 
     /// Execute the stage. Called at most once per cache miss.
     fn run(&mut self, ctx: &RunContext) -> Result<Self::Output, Self::Error>;
-
-    /// Whether the output may be memoized. Default: yes.
-    fn cacheable(&self) -> bool {
-        true
-    }
-
-    /// Whether the output depends on the run's [`ig_faults::FaultPlan`].
-    /// Plan-sensitive stages (the default) get the plan folded into their
-    /// cache key, so a chaos arm never reuses a clean arm's artifact;
-    /// plan-independent stages (dataset generation, image preparation)
-    /// opt out and share artifacts across arms.
-    fn plan_sensitive(&self) -> bool {
-        true
-    }
 
     /// Whether this stage persists to the durable tier *under the current
     /// inputs* — the one switch the runtime reads for persistence. On a

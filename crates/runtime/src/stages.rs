@@ -18,7 +18,8 @@ use crate::stage::Stage;
 ///
 /// The spec carries its own seed, so the artifact is a pure function of
 /// the spec: every driver asking for the same `(kind, scale, seed)`
-/// shares one generated dataset.
+/// shares one generated dataset. Generation happens before any
+/// fault-injection site, so chaos and clean arms share it too.
 #[derive(Debug, Clone)]
 pub struct GenerateDataset {
     /// Full generation parameters (including the generation seed).
@@ -35,12 +36,6 @@ impl Stage for GenerateDataset {
 
     fn fingerprint(&self) -> Fingerprint {
         self.spec.fingerprint()
-    }
-
-    fn plan_sensitive(&self) -> bool {
-        // Generation happens before any fault-injection site; chaos and
-        // clean arms share the dataset artifact.
-        false
     }
 
     fn run(&mut self, _ctx: &RunContext) -> Result<Dataset, Infallible> {
@@ -71,7 +66,8 @@ impl Stage for GenerateDataset {
 ///
 /// Fingerprinting hashes the raw pixels — cheap next to the pyramid and
 /// integral-table construction it saves — so any batch with the same
-/// content and match config shares one prepared artifact.
+/// content and match config shares one prepared artifact, under any fault
+/// plan (no fault site reads the plan here).
 #[derive(Debug)]
 pub struct PrepareImages<'a> {
     /// Images to prepare, in output order.
@@ -106,12 +102,6 @@ impl Stage for PrepareImages<'_> {
             image.fingerprint_into(&mut h);
         }
         h.finish()
-    }
-
-    fn plan_sensitive(&self) -> bool {
-        // Preparation is pure image processing; no fault site reads the
-        // plan here.
-        false
     }
 
     fn run(&mut self, _ctx: &RunContext) -> Result<Vec<PreparedImage>, Infallible> {
@@ -159,7 +149,7 @@ mod tests {
         let b = infallible(chaotic.run(&mut PrepareImages::new(refs)));
         assert!(
             std::sync::Arc::ptr_eq(&a, &b),
-            "plan-independent stage shares artifacts across arms"
+            "a stage that does not hash the plan shares artifacts across arms"
         );
         assert_eq!(a.len(), 2);
     }

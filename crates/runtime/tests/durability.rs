@@ -12,7 +12,7 @@ use ig_runtime::{
     infallible, Dec, DiskStore, Enc, Fingerprint, Fingerprintable, RunContext, Stage,
 };
 
-/// Cacheable durable stage: output is a pure function of `input` and the
+/// Durable stage: output is a pure function of `input` and the
 /// run seed; `calls` counts real executions, so a disk hit (no recompute)
 /// is observable. Persists through the single-flight path like every
 /// durable stage.
@@ -31,10 +31,6 @@ impl Stage for Summer<'_> {
 
     fn fingerprint(&self) -> Fingerprint {
         self.input.fingerprint()
-    }
-
-    fn plan_sensitive(&self) -> bool {
-        false
     }
 
     fn durable(&self) -> bool {

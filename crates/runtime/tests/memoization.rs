@@ -1,13 +1,15 @@
 //! Property tests for artifact memoization: the cache must be *sound*
 //! (a hit is bit-identical to what a fresh computation would produce —
 //! in fact it is the very same `Arc`) and *precise* (any change to a
-//! stage's declared inputs, the run seed, or the fault plan of a
-//! plan-sensitive stage forces a recompute).
+//! stage's declared inputs or the run seed forces a recompute). The key
+//! is `H(id, fingerprint, seed)`: a stage that reads the fault plan hashes
+//! it, and one that does not shares its artifact across plans.
 //!
-//! Two stage families are exercised: a synthetic stage whose fingerprint
-//! covers an input vector plus a config scalar, and the real
-//! [`PrepareImages`] stage over random images, where a single perturbed
-//! pixel must change the fingerprint.
+//! Three stage families are exercised: a synthetic stage whose
+//! fingerprint covers an input vector plus a config scalar, one that also
+//! reads and hashes the plan, and the real [`PrepareImages`] stage over
+//! random images, where a single perturbed pixel must change the
+//! fingerprint.
 
 use core::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -21,7 +23,7 @@ use ig_runtime::{
 };
 use rand::Rng;
 
-/// Synthetic cacheable stage: output is a pure function of `input`,
+/// Synthetic stage: output is a pure function of `input`,
 /// `gain` and the run seed; `calls` counts real executions.
 struct ScaleAdd<'a> {
     input: Vec<u64>,
@@ -51,6 +53,47 @@ impl Stage for ScaleAdd<'_> {
             .iter()
             .map(|v| v.wrapping_mul(self.gain) ^ ctx.seed())
             .collect())
+    }
+}
+
+/// Synthetic stage that reads the fault plan, and so hashes it: the
+/// fingerprint is taken at construction from the context it will run
+/// under, as `ig-core`'s pattern-bank fingerprint is.
+struct PlanXor<'a> {
+    fp: Fingerprint,
+    input: Vec<u64>,
+    calls: &'a AtomicUsize,
+}
+
+impl<'a> PlanXor<'a> {
+    fn new(input: Vec<u64>, ctx: &RunContext, calls: &'a AtomicUsize) -> PlanXor<'a> {
+        let mut h = FingerprintHasher::new();
+        input.fingerprint_into(&mut h);
+        ctx.plan().fingerprint_into(&mut h);
+        PlanXor {
+            fp: h.finish(),
+            input,
+            calls,
+        }
+    }
+}
+
+impl Stage for PlanXor<'_> {
+    type Output = Vec<u64>;
+    type Error = Infallible;
+
+    fn id(&self) -> &'static str {
+        "test.plan_xor"
+    }
+
+    fn fingerprint(&self) -> Fingerprint {
+        self.fp
+    }
+
+    fn run(&mut self, ctx: &RunContext) -> Result<Vec<u64>, Infallible> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        let salt = ctx.plan().map_or(0, |p| p.seed);
+        Ok(self.input.iter().map(|v| v ^ salt).collect())
     }
 }
 
@@ -117,8 +160,8 @@ properties! {
     }
 
     /// The real [`PrepareImages`] stage: same pixels hit, one perturbed
-    /// pixel misses. Plan changes must NOT miss — preparation declares
-    /// itself plan-insensitive, so chaos and clean arms share it.
+    /// pixel misses. Plan changes must NOT miss — preparation neither
+    /// reads nor hashes the plan, so chaos and clean arms share it.
     fn prepare_images_keys_on_pixels_not_plan(g) {
         let w = g.gen_range(4usize..12);
         let h = g.gen_range(4usize..12);
@@ -132,7 +175,7 @@ properties! {
         let shared = infallible(chaotic.run(&mut PrepareImages::new(vec![&image])));
         ensure!(
             Arc::ptr_eq(&first, &shared),
-            "plan-insensitive stage must share artifacts across arms"
+            "a stage that does not hash the plan must share artifacts across arms"
         );
 
         let mut perturbed = image.clone();
@@ -200,22 +243,30 @@ properties! {
         ensure_eq!(&*fresh, &expect);
     }
 
-    /// With memoization disabled the store stays empty, every run
-    /// executes, and outputs still agree bit-for-bit with the memoized
-    /// path — caching must be a pure optimization.
-    fn memoized_and_unmemoized_runs_agree(g) {
+    /// Two contexts over one store that differ only in the fault plan: a
+    /// stage that hashes the plan misses across them and computes the
+    /// plan's own output, while a stage that does not hash it is served
+    /// the other arm's artifact.
+    fn only_stages_that_hash_the_plan_miss_across_plans(g) {
         let input = g.vec(0..32, |g| g.gen::<u64>());
         let gain = g.gen::<u64>();
         let seed = g.gen::<u64>();
-        let memo = RunContext::new(seed);
-        let raw = RunContext::new(seed).with_memoization(false);
+        let plan_seed = g.gen::<u64>();
+        let clean = RunContext::new(seed);
+        let chaotic = clean.clone().with_plan(Some(FaultPlan::chaos(plan_seed)));
+
         let calls = AtomicUsize::new(0);
-        let a = infallible(memo.run(&mut ScaleAdd { input: input.clone(), gain, calls: &calls }));
-        let b = infallible(raw.run(&mut ScaleAdd { input: input.clone(), gain, calls: &calls }));
-        let c = infallible(raw.run(&mut ScaleAdd { input, gain, calls: &calls }));
-        ensure_eq!(&*a, &*b);
-        ensure_eq!(&*b, &*c);
-        ensure_eq!(calls.load(Ordering::Relaxed), 3, "unmemoized runs always execute");
-        ensure!(raw.store().is_empty());
+        let a = infallible(clean.run(&mut PlanXor::new(input.clone(), &clean, &calls)));
+        let b = infallible(chaotic.run(&mut PlanXor::new(input.clone(), &chaotic, &calls)));
+        ensure_eq!(calls.load(Ordering::Relaxed), 2, "a plan-hashing stage must not cross plans");
+        ensure_eq!(&*a, &input);
+        let expect: Vec<u64> = input.iter().map(|v| v ^ plan_seed).collect();
+        ensure_eq!(&*b, &expect);
+
+        let kcalls = AtomicUsize::new(0);
+        let c = infallible(clean.run(&mut ScaleAdd { input: input.clone(), gain, calls: &kcalls }));
+        let d = infallible(chaotic.run(&mut ScaleAdd { input, gain, calls: &kcalls }));
+        ensure!(Arc::ptr_eq(&c, &d), "a stage that does not hash the plan is shared");
+        ensure_eq!(kcalls.load(Ordering::Relaxed), 1);
     }
 }
