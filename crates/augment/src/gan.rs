@@ -216,8 +216,7 @@ impl Rgan {
                 let fake = generate_batch(&generator, &z);
                 let real_cache = discriminator.forward_cache(&real);
                 let fake_cache = discriminator.forward_cache(&fake);
-                let dr = real_cache.logits().clone();
-                let df = fake_cache.logits().clone();
+                let (dr, df) = (real_cache.logits(), fake_cache.logits());
                 // L_D = -mean log σ(D(x_r) - D(x_f)).
                 let mut d_loss = 0.0f32;
                 let mut d_dr = Matrix::zeros(n, 1);
@@ -249,12 +248,10 @@ impl Rgan {
                 // ---- Generator step ----
                 let z = random_latent(n, config.latent_dim, rng);
                 let gen_cache = generator.forward_cache(&z);
-                let gen_logits = gen_cache.logits().clone();
-                let fake = gen_logits.map(|v| v.tanh());
+                let fake = gen_cache.logits().map(|v| v.tanh());
                 let real_cache = discriminator.forward_cache(&real);
                 let fake_cache = discriminator.forward_cache(&fake);
-                let dr = real_cache.logits().clone();
-                let df = fake_cache.logits().clone();
+                let (dr, df) = (real_cache.logits(), fake_cache.logits());
                 // L_G = -mean log σ(D(x_f) - D(x_r)).
                 let mut g_loss = 0.0f32;
                 let mut d_df = Matrix::zeros(n, 1);
@@ -336,6 +333,16 @@ impl Rgan {
             final_gen_loss: last_g,
             degenerate,
         }
+    }
+
+    /// The trained generator (latent → square pattern logits).
+    pub fn generator(&self) -> &Mlp {
+        &self.generator
+    }
+
+    /// The trained discriminator (square pattern → realness logit).
+    pub fn discriminator(&self) -> &Mlp {
+        &self.discriminator
     }
 
     /// Sample `count` fake patterns, resized back to randomly chosen

@@ -152,16 +152,16 @@ impl Labeler {
             (Targets::Classes(labels), Loss::CrossEntropy)
         };
         let x0 = self.mlp.params();
-        let model = self.mlp.clone();
+        // One working copy whose parameters each evaluation overwrites.
+        let mut model = self.mlp.clone();
         let mut evals = 0usize;
         let (result, restarts) = minimize_robust(
             |p| {
-                let mut m = model.clone();
-                m.set_params(p);
+                model.set_params(p);
                 // The target/loss pairing is constructed consistently above,
                 // so the Err arm is unreachable; a NaN loss would feed the
                 // non-finite recovery path below either way.
-                let (mut l, g) = m
+                let (mut l, g) = model
                     .loss_and_grad(&x, &targets, loss)
                     .unwrap_or_else(|_| (f32::NAN, vec![f32::NAN; p.len()]));
                 let i = evals;

@@ -94,8 +94,14 @@ pub fn log_sigmoid(x: f32) -> f32 {
 /// Row-wise softmax with the max-subtraction trick.
 pub fn softmax_rows(logits: &Matrix) -> Matrix {
     let mut out = logits.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
+    softmax_rows_in_place(&mut out);
+    out
+}
+
+/// [`softmax_rows`] over the matrix's own buffer.
+pub(crate) fn softmax_rows_in_place(m: &mut Matrix) {
+    for r in 0..m.rows() {
+        let row = m.row_mut(r);
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
         for v in row.iter_mut() {
@@ -106,7 +112,6 @@ pub fn softmax_rows(logits: &Matrix) -> Matrix {
             *v /= sum;
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -16,6 +16,29 @@
 //! Everything operates on `f32` with hand-written backpropagation; no
 //! autodiff, no BLAS. Sizes in this reproduction (feature vectors of tens
 //! of dimensions, images downscaled to ≤64 px) keep that comfortably fast.
+//!
+//! ## Dense kernel and its bit contract
+//!
+//! [`Matrix::matmul`], [`Matrix::matmul_tn`] and [`Matrix::matmul_nt`] share
+//! one safe, portable register-tiled kernel (see [`matrix`]): packed
+//! panels, a `1 x 32` (or `1 x 16`) tile of accumulators, and the tile's
+//! lanes along the wider output dimension. No intrinsics, no `unsafe`, no
+//! target-specific build flags. Its results are those of the plain triple
+//! loop, bit for bit:
+//!
+//! * every `out[i][j]` starts at `+0.0` and adds `a(i,t)·b(t,j)` for
+//!   ascending `t`, with one rounding per product and per sum (no fused
+//!   multiply-add, no reassociation);
+//! * in `matmul` and `matmul_tn` a term whose left factor is exactly `±0.0`
+//!   contributes nothing, even when the right factor is infinite or NaN.
+//!   The kernel drops such a term from a broadcast row, or masks a lane's
+//!   product to `+0.0`. The mask is exact because adding `+0.0` changes no
+//!   sum except `-0.0`, and a sum that starts at `+0.0` never becomes
+//!   `-0.0` under round-to-nearest.
+//!
+//! So the labeler's L-BFGS fits, the tuning goldens and the RGAN's training
+//! do not depend on which loop computes a product. The plain loops are kept
+//! as test oracles in `tests/nn_properties.rs`.
 
 #![warn(missing_docs)]
 

@@ -2,6 +2,32 @@
 //!
 //! Batches are laid out as `batch_size x features`, weights as
 //! `in_features x out_features`, so a forward pass is a plain `x.matmul(w)`.
+//!
+//! The three products, [`Matrix::matmul`], [`Matrix::matmul_tn`] and
+//! [`Matrix::matmul_nt`], run one register-tiled kernel over strided views
+//! of their factors. It computes one output row at a time, `32` (or, for a
+//! short last run, `16`) outputs per tile, held in eight (four) SSE-width
+//! accumulator vectors.
+//!
+//! * **Lane axis.** The tile's lanes run along `j` once the output has at
+//!   least 16 columns or is at least as wide as it is tall, and along `i`
+//!   otherwise. So a `480 x h` hidden layer with `h < 16` fills its lanes
+//!   with rows instead of padding 2–8 columns out to a tile.
+//! * **Packing.** The lane operand is read as panels of tile width per
+//!   `t`. A run of contiguous lanes that fills the tile is read where it
+//!   lies; any other run is packed and zero-padded. A broadcast row is
+//!   read where it lies when contiguous, and gathered otherwise.
+//! * **Bit contract.** Each output starts at `+0.0` and adds `a(i,t)·b(t,j)`
+//!   for ascending `t`, one rounding per product and per sum, exactly as
+//!   the plain loops do. A product whose left factor is `±0.0` is skipped
+//!   by `matmul` and `matmul_tn`. When the left factor is the broadcast
+//!   operand, the row is compacted to its nonzero terms, in order, so ReLU
+//!   outputs do less work. When it runs along the lanes, the product is
+//!   masked to `+0.0`. That mask moves no bit: adding `+0.0` leaves every
+//!   sum but `-0.0` as it is, and a sum that starts at `+0.0` is never
+//!   `-0.0` in round-to-nearest. For the same reason a row whose broadcast
+//!   factors are all finite skips the mask: there a `±0.0` lane already
+//!   yields a `±0.0` product.
 
 use rand::Rng;
 
@@ -158,65 +184,34 @@ impl Matrix {
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        // i-k-j loop order keeps the inner loop sequential over both the
-        // output row and the `other` row — cache-friendly without tiling.
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for (k, &a) in a_row.iter().enumerate() {
-                // ig-lint: allow(float-eq) -- sparsity fast path: skipping
-                // exactly-zero entries is sound for any value
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        product(
+            Operand::new(&self.data, self.cols, 1),
+            Operand::new(&other.data, other.cols, 1),
+            (self.rows, self.cols, other.cols),
+            true,
+        )
     }
 
     /// `self^T * other` without materializing the transpose.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = other.row(r);
-            for (i, &a) in a_row.iter().enumerate() {
-                // ig-lint: allow(float-eq) -- sparsity fast path: skipping
-                // exactly-zero entries is sound for any value
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        product(
+            Operand::new(&self.data, 1, self.cols),
+            Operand::new(&other.data, other.cols, 1),
+            (self.cols, self.rows, other.cols),
+            true,
+        )
     }
 
     /// `self * other^T` without materializing the transpose.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..other.rows {
-                let b_row = other.row(j);
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                out.data[i * other.rows + j] = acc;
-            }
-        }
-        out
+        product(
+            Operand::new(&self.data, self.cols, 1),
+            Operand::new(&other.data, 1, other.cols),
+            (self.rows, self.cols, other.rows),
+            false,
+        )
     }
 
     /// Transposed copy.
@@ -299,6 +294,225 @@ impl Matrix {
     }
 }
 
+/// Lanes in a full register tile: eight SSE vectors of accumulators.
+const WIDE: usize = 32;
+/// Lanes in the tile that covers a last run of at most this many lanes,
+/// and the output width from which the lanes run along `j`.
+const NARROW: usize = 16;
+
+/// A read-only strided view of a row-major buffer: element `(x, y)` sits
+/// at `data[x * sx + y * sy]`. For a left factor `(x, y)` is `(i, t)`, for
+/// a right factor `(t, j)`.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    data: &'a [f32],
+    sx: usize,
+    sy: usize,
+}
+
+impl<'a> Operand<'a> {
+    fn new(data: &'a [f32], sx: usize, sy: usize) -> Self {
+        Self { data, sx, sy }
+    }
+
+    /// The same buffer with its two axes swapped.
+    fn swapped(self) -> Self {
+        Self::new(self.data, self.sy, self.sx)
+    }
+
+    /// Pack lanes `l0 .. l0 + width` of `self(t, l)` into `panel`, `w`
+    /// values per `t`, leaving the rest of each `w`-run as it is.
+    fn pack(&self, l0: usize, width: usize, panel: &mut [f32], w: usize) {
+        if self.sy == 1 {
+            for (t, tile) in panel.chunks_exact_mut(w).enumerate() {
+                tile[..width].copy_from_slice(&self.data[t * self.sx + l0..][..width]);
+            }
+        } else {
+            for q in 0..width {
+                let src = self.data[(l0 + q) * self.sy..].iter().step_by(self.sx);
+                for (tile, &v) in panel.chunks_exact_mut(w).zip(src) {
+                    tile[q] = v;
+                }
+            }
+        }
+    }
+}
+
+/// Exactly `+0.0` or `-0.0`: a left factor whose term the products with
+/// a zero skip leave out.
+#[inline(always)]
+fn is_zero(v: f32) -> bool {
+    // ig-lint: allow(float-eq) -- exact-zero test by design: a term whose
+    // left factor is ±0.0 contributes nothing, whatever the right factor
+    v == 0.0
+}
+
+/// The one kernel behind [`Matrix::matmul`], [`Matrix::matmul_tn`] and
+/// [`Matrix::matmul_nt`] (see the module docs): `out[i][j] = Σ_t
+/// a(i,t)·b(t,j)` for an `m x k` left factor `a` and a `k x n` right factor
+/// `b`. With `skip_zeros` a term whose left factor is `±0.0` adds nothing,
+/// even when its right factor is infinite or NaN.
+fn product(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    (m, k, n): (usize, usize, usize),
+    skip_zeros: bool,
+) -> Matrix {
+    let mut out = Matrix::zeros(m, n);
+    if m == 0 || n == 0 || k == 0 {
+        return out;
+    }
+    // lanes(t, l) and rows(r, t) over the output's lane and broadcast axes.
+    let lanes_on_j = n >= m || n >= NARROW;
+    let (lanes, rows, n_lanes, n_rows) = if lanes_on_j {
+        (b, a, n, m)
+    } else {
+        (a.swapped(), b.swapped(), m, n)
+    };
+    // Runs of WIDE lanes, the last one NARROW when it fits. `at` is the
+    // run's offset in `packed`, or `None` when it is read in place.
+    let mut panels = Vec::with_capacity(n_lanes.div_ceil(NARROW));
+    let mut packed_len = 0;
+    let mut l0 = 0;
+    while l0 < n_lanes {
+        let w = if n_lanes - l0 > NARROW { WIDE } else { NARROW };
+        let at = if lanes.sy == 1 && l0 + w <= n_lanes {
+            None
+        } else {
+            packed_len += k * w;
+            Some(packed_len - k * w)
+        };
+        panels.push((l0, w, at));
+        l0 += w;
+    }
+    let mut packed = vec![0.0f32; packed_len];
+    for &(l0, w, at) in &panels {
+        if let Some(at) = at {
+            let width = w.min(n_lanes - l0);
+            lanes.pack(l0, width, &mut packed[at..at + k * w], w);
+        }
+    }
+    let sparse = skip_zeros && lanes_on_j;
+    let mut gathered = vec![0.0f32; if rows.sy == 1 { 0 } else { k }];
+    let mut terms = if sparse {
+        vec![(0u32, 0.0f32); k]
+    } else {
+        Vec::new()
+    };
+    for r in 0..n_rows {
+        // A contiguous broadcast row is read where it lies.
+        let src = &rows.data[r * rows.sx..];
+        let row: &[f32] = if rows.sy == 1 {
+            &src[..k]
+        } else {
+            for (d, &v) in gathered.iter_mut().zip(src.iter().step_by(rows.sy)) {
+                *d = v;
+            }
+            &gathered
+        };
+        let mut kept = None;
+        if sparse && row.iter().any(|&x| is_zero(x)) {
+            // Branch-free compaction: every term is written, and only a
+            // nonzero one advances the cursor.
+            let mut count = 0;
+            for (t, &x) in (0u32..).zip(row) {
+                terms[count] = (t, x);
+                count += usize::from(!is_zero(x));
+            }
+            kept = Some(&terms[..count]);
+        }
+        // A lane's masked product differs from the plain one only when
+        // its broadcast factor is infinite or NaN: with a finite `x`, a
+        // `±0.0` lane value gives a `±0.0` product, which leaves the sum
+        // as it is.
+        let mask = skip_zeros && !lanes_on_j && !row.iter().all(|x| x.is_finite());
+        for &(l0, w, at) in &panels {
+            let (data, stride) = match at {
+                Some(at) => (&packed[at..], w),
+                None => (&lanes.data[l0..], lanes.sx),
+            };
+            let tile = Tile {
+                data,
+                stride,
+                row,
+                kept,
+                mask,
+            };
+            let width = w.min(n_lanes - l0);
+            let mut store = |acc: &[f32]| {
+                if lanes_on_j {
+                    let dst = &mut out.row_mut(r)[l0..l0 + width];
+                    // A fixed-length copy for the common full tile.
+                    if width == WIDE {
+                        dst.copy_from_slice(&acc[..WIDE]);
+                    } else {
+                        dst.copy_from_slice(&acc[..width]);
+                    }
+                } else {
+                    let column = out.data[l0 * n + r..].iter_mut().step_by(n);
+                    for (o, &v) in column.zip(acc) {
+                        *o = v;
+                    }
+                }
+            };
+            if w == WIDE {
+                store(&tile.sum::<WIDE>());
+            } else {
+                store(&tile.sum::<NARROW>());
+            }
+        }
+    }
+    out
+}
+
+/// One `1 x W` register tile of outputs: lane `q` sums `x·y_t[q]` for
+/// ascending `t`, where `y_t` is the `W` lanes at `data[t * stride..]`.
+struct Tile<'a> {
+    data: &'a [f32],
+    stride: usize,
+    /// Every term's broadcast factor `x`, by `t`.
+    row: &'a [f32],
+    /// Only these `(t, x)` terms, when the row skips its zeros.
+    kept: Option<&'a [(u32, f32)]>,
+    /// Mask to `+0.0` the term of a lane whose `y_t` is `±0.0`.
+    mask: bool,
+}
+
+impl Tile<'_> {
+    #[inline(always)]
+    fn sum<const W: usize>(&self) -> [f32; W] {
+        match self.kept {
+            Some(kept) => {
+                let mut acc = [0.0f32; W];
+                for &(t, x) in kept {
+                    let at = t as usize * self.stride;
+                    for (o, &y) in acc.iter_mut().zip(&self.data[at..at + W]) {
+                        *o += x * y;
+                    }
+                }
+                acc
+            }
+            None if self.mask => self.dense::<W, true>(),
+            None => self.dense::<W, false>(),
+        }
+    }
+
+    /// Every term of `row`; the accumulators stay local so that they live
+    /// in registers.
+    #[inline(always)]
+    fn dense<const W: usize, const MASK: bool>(&self) -> [f32; W] {
+        let mut acc = [0.0f32; W];
+        for (t, &x) in self.row.iter().enumerate() {
+            let at = t * self.stride;
+            for (o, &y) in acc.iter_mut().zip(&self.data[at..at + W]) {
+                let p = x * y;
+                *o += if MASK && is_zero(y) { 0.0 } else { p };
+            }
+        }
+        acc
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,8 +551,9 @@ mod tests {
         let b = Matrix::xavier(4, 5, &mut rng);
         let fast = a.matmul_tn(&b);
         let slow = a.transpose().matmul(&b);
+        assert_eq!(fast.shape(), slow.shape());
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-5);
+            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
@@ -349,8 +564,10 @@ mod tests {
         let b = Matrix::xavier(5, 4, &mut rng);
         let fast = a.matmul_nt(&b);
         let slow = a.matmul(&b.transpose());
+        assert_eq!(fast.shape(), slow.shape());
+        // Finite factors: the zero skip `matmul` adds moves no bit.
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-5);
+            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 

@@ -14,7 +14,7 @@
 //! * parameter level: [`Mlp::params`] / [`Mlp::set_params`] flatten all
 //!   weights for the L-BFGS optimizer.
 
-use crate::activation::{log_sigmoid, sigmoid, softmax_rows, Activation};
+use crate::activation::{log_sigmoid, sigmoid, softmax_rows, softmax_rows_in_place, Activation};
 use crate::lbfgs::{minimize, minimize_robust, LbfgsConfig, LbfgsResult, RestartConfig};
 use crate::matrix::Matrix;
 use crate::{NnError, Result};
@@ -67,20 +67,30 @@ pub enum Targets<'a> {
     Classes(&'a [usize]),
 }
 
-/// Forward-pass cache: `post[0]` is the input, `pre[i]`/`post[i+1]` the
-/// pre-/post-activation of layer `i`. The final `post` holds raw logits.
+/// Forward-pass cache. It borrows the input batch; `pre[i]` and `post[i]`
+/// are hidden layer `i`'s pre-activation and activated output, and
+/// `logits` is the linear output layer's result.
 #[derive(Debug, Clone)]
-pub struct MlpCache {
+pub struct MlpCache<'a> {
+    input: &'a Matrix,
     pre: Vec<Matrix>,
     post: Vec<Matrix>,
+    logits: Matrix,
 }
 
-impl MlpCache {
+impl MlpCache<'_> {
     /// The output logits.
     pub fn logits(&self) -> &Matrix {
-        // ig-lint: allow(panic) -- forward_cache seeds `post` with the input
-        // activation before any layer runs, so the vec is never empty
-        self.post.last().expect("cache always holds the input")
+        &self.logits
+    }
+
+    /// The input to layer `i`: the batch itself, or hidden layer `i - 1`'s
+    /// activated output.
+    fn layer_input(&self, i: usize) -> &Matrix {
+        match i.checked_sub(1) {
+            Some(h) => &self.post[h],
+            None => self.input,
+        }
     }
 }
 
@@ -187,29 +197,40 @@ impl Mlp {
     }
 
     /// Forward pass retaining intermediate activations for backprop.
-    pub fn forward_cache(&self, x: &Matrix) -> MlpCache {
+    pub fn forward_cache<'a>(&self, x: &'a Matrix) -> MlpCache<'a> {
         assert_eq!(x.cols(), self.input_dim(), "input dimension mismatch");
-        let n_layers = self.weights.len();
-        let mut pre = Vec::with_capacity(n_layers);
-        let mut post = Vec::with_capacity(n_layers + 1);
-        post.push(x.clone());
-        for (i, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
-            let mut z = post[i].matmul(w);
+        let n_hidden = self.weights.len().saturating_sub(1);
+        let mut pre = Vec::with_capacity(n_hidden);
+        let mut post: Vec<Matrix> = Vec::with_capacity(n_hidden);
+        let mut layers = self.weights.iter().zip(&self.biases);
+        let output = layers.next_back();
+        for (w, b) in layers {
+            let mut z = post.last().unwrap_or(x).matmul(w);
             z.add_row_broadcast(b);
-            let a = if i + 1 == n_layers {
-                z.clone() // linear output
-            } else {
-                self.activation.forward(&z)
-            };
+            post.push(self.activation.forward(&z));
             pre.push(z);
-            post.push(a);
         }
-        MlpCache { pre, post }
+        // `new` always builds the output layer; a network without layers
+        // would pass its input through.
+        let logits = match output {
+            Some((w, b)) => {
+                let mut z = post.last().unwrap_or(x).matmul(w);
+                z.add_row_broadcast(b);
+                z
+            }
+            None => x.clone(),
+        };
+        MlpCache {
+            input: x,
+            pre,
+            post,
+            logits,
+        }
     }
 
     /// Raw logits for a batch.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        self.forward_cache(x).logits().clone()
+        self.forward_cache(x).logits
     }
 
     /// Sigmoid probabilities (binary heads).
@@ -241,8 +262,8 @@ impl Mlp {
     /// Backpropagate an arbitrary gradient w.r.t. the output logits.
     /// Returns `(flat_parameter_gradient, gradient_w.r.t._input)`. The
     /// parameter gradient includes the L2 term.
-    pub fn backward(&self, cache: &MlpCache, d_logits: &Matrix) -> (Vec<f32>, Matrix) {
-        let (flat, d_first) = self.backprop(cache, d_logits);
+    pub fn backward(&self, cache: &MlpCache<'_>, d_logits: &Matrix) -> (Vec<f32>, Matrix) {
+        let (flat, d_first) = self.backprop(cache, d_logits.clone());
         let dx = match self.weights.first() {
             Some(w) => d_first.matmul_nt(w),
             None => d_first,
@@ -253,23 +274,23 @@ impl Mlp {
     /// The parameter half of [`Mlp::backward`], bit for bit, skipping the
     /// input gradient's `delta · W0ᵀ` product, which training steps never
     /// read.
-    pub fn param_grad(&self, cache: &MlpCache, d_logits: &Matrix) -> Vec<f32> {
-        self.backprop(cache, d_logits).0
+    pub fn param_grad(&self, cache: &MlpCache<'_>, d_logits: &Matrix) -> Vec<f32> {
+        self.backprop(cache, d_logits.clone()).0
     }
 
-    /// Shared backward loop: the flat parameter gradient and the gradient
-    /// w.r.t. the first layer's pre-activation output, one `· W0ᵀ` short
-    /// of the input gradient.
-    fn backprop(&self, cache: &MlpCache, d_logits: &Matrix) -> (Vec<f32>, Matrix) {
+    /// Shared backward loop over the output gradient `delta`: the flat
+    /// parameter gradient, written layer by layer into place, and the
+    /// gradient w.r.t. the first layer's pre-activation output, one `· W0ᵀ`
+    /// short of the input gradient.
+    fn backprop(&self, cache: &MlpCache<'_>, mut delta: Matrix) -> (Vec<f32>, Matrix) {
         let n_layers = self.weights.len();
-        let mut grads_w: Vec<Matrix> = Vec::with_capacity(n_layers);
-        let mut grads_b: Vec<Vec<f32>> = Vec::with_capacity(n_layers);
-        let mut delta = d_logits.clone();
+        let mut flat = vec![0.0f32; self.num_params()];
+        let mut end = flat.len();
         for i in (0..n_layers).rev() {
             if i + 1 != n_layers {
                 // Multiply by the activation derivative of layer i.
                 let pre = &cache.pre[i];
-                let post = &cache.post[i + 1];
+                let post = &cache.post[i];
                 let act = self.activation;
                 assert_eq!(delta.shape(), pre.shape());
                 for r in 0..delta.rows() {
@@ -281,23 +302,19 @@ impl Mlp {
                     }
                 }
             }
-            let input = &cache.post[i];
-            let mut dw = input.matmul_tn(&delta);
+            let mut dw = cache.layer_input(i).matmul_tn(&delta);
             if self.l2 > 0.0 {
                 dw.axpy(self.l2, &self.weights[i]);
             }
-            grads_w.push(dw);
-            grads_b.push(delta.col_sums());
+            let db = delta.col_sums();
+            let start = end - dw.len() - db.len();
+            let (w_part, b_part) = flat[start..end].split_at_mut(dw.len());
+            w_part.copy_from_slice(dw.as_slice());
+            b_part.copy_from_slice(&db);
+            end = start;
             if i > 0 {
                 delta = delta.matmul_nt(&self.weights[i]);
             }
-        }
-        grads_w.reverse();
-        grads_b.reverse();
-        let mut flat = Vec::with_capacity(self.num_params());
-        for (w, b) in grads_w.iter().zip(&grads_b) {
-            flat.extend_from_slice(w.as_slice());
-            flat.extend_from_slice(b);
         }
         (flat, delta)
     }
@@ -313,11 +330,14 @@ impl Mlp {
         targets: &Targets<'_>,
         loss: Loss,
     ) -> Result<(f32, Vec<f32>)> {
-        let cache = self.forward_cache(x);
-        let (loss_value, d_logits) = pair_loss(cache.logits(), targets, loss)?;
-        // `backward` folds the L2 term into the weight gradients; the loss
+        let mut cache = self.forward_cache(x);
+        // Backprop never reads the logits, so the loss turns them into their
+        // gradient in place.
+        let logits = std::mem::replace(&mut cache.logits, Matrix::zeros(0, 0));
+        let (loss_value, d_logits) = pair_loss(logits, targets, loss)?;
+        // `backprop` folds the L2 term into the weight gradients; the loss
         // needs the matching 0.5·λ·||W||² penalty added explicitly.
-        let grad = self.param_grad(&cache, &d_logits);
+        let grad = self.backprop(&cache, d_logits).0;
         let mut total = loss_value;
         if self.l2 > 0.0 {
             for w in &self.weights {
@@ -332,8 +352,7 @@ impl Mlp {
     /// Mean loss only (no gradient) — used for early-stopping validation.
     /// Same loss/target compatibility contract as [`Mlp::loss_and_grad`].
     pub fn loss(&self, x: &Matrix, targets: &Targets<'_>, loss: Loss) -> Result<f32> {
-        let logits = self.forward(x);
-        pair_loss(&logits, targets, loss).map(|(l, _)| l)
+        pair_loss(self.forward(x), targets, loss).map(|(l, _)| l)
     }
 
     /// Fit with L-BFGS (the paper's optimizer for the labeler), returning
@@ -349,14 +368,15 @@ impl Mlp {
         // objective closure below stays infallible.
         check_pair(targets, loss)?;
         let x0 = self.params();
-        let model = self.clone();
+        // One working copy whose parameters each evaluation overwrites.
+        let mut model = self.clone();
         let result = minimize(
             |p| {
-                let mut m = model.clone();
-                m.set_params(p);
+                model.set_params(p);
                 // Pairing was validated above; a NaN loss would trip the
                 // optimizer's divergence handling if it somehow failed.
-                m.loss_and_grad(x, targets, loss)
+                model
+                    .loss_and_grad(x, targets, loss)
                     .unwrap_or_else(|_| (f32::NAN, vec![f32::NAN; p.len()]))
             },
             x0,
@@ -381,12 +401,12 @@ impl Mlp {
     ) -> Result<(LbfgsResult, usize)> {
         check_pair(targets, loss)?;
         let x0 = self.params();
-        let model = self.clone();
+        let mut model = self.clone();
         let (result, restarts) = minimize_robust(
             |p| {
-                let mut m = model.clone();
-                m.set_params(p);
-                m.loss_and_grad(x, targets, loss)
+                model.set_params(p);
+                model
+                    .loss_and_grad(x, targets, loss)
                     .unwrap_or_else(|_| (f32::NAN, vec![f32::NAN; p.len()]))
             },
             x0,
@@ -414,8 +434,8 @@ pub fn check_pair(targets: &Targets<'_>, loss: Loss) -> Result<()> {
 }
 
 /// Dispatch to the matching loss implementation, or error on a mismatched
-/// pairing.
-fn pair_loss(logits: &Matrix, targets: &Targets<'_>, loss: Loss) -> Result<(f32, Matrix)> {
+/// pairing. The logits buffer comes back holding their gradient.
+fn pair_loss(logits: Matrix, targets: &Targets<'_>, loss: Loss) -> Result<(f32, Matrix)> {
     check_pair(targets, loss)?;
     Ok(match (loss, targets) {
         (Loss::Bce, Targets::Binary(t)) => bce_with_logits(logits, t),
@@ -426,41 +446,41 @@ fn pair_loss(logits: &Matrix, targets: &Targets<'_>, loss: Loss) -> Result<(f32,
     })
 }
 
-/// Mean binary cross-entropy with logits and its gradient.
+/// Mean binary cross-entropy with logits, turning `logits` into its
+/// gradient in place.
 /// `loss = mean( softplus(z) - t*z )`, `dL/dz = (sigmoid(z) - t) / n`.
-fn bce_with_logits(logits: &Matrix, targets: &Matrix) -> (f32, Matrix) {
+fn bce_with_logits(mut logits: Matrix, targets: &Matrix) -> (f32, Matrix) {
     assert_eq!(logits.shape(), targets.shape(), "BCE target shape mismatch");
     let n = logits.len().max(1) as f32;
     let mut loss = 0.0f32;
-    let mut grad = Matrix::zeros(logits.rows(), logits.cols());
-    for i in 0..logits.len() {
-        let z = logits.as_slice()[i];
-        let t = targets.as_slice()[i];
+    for (g, &t) in logits.as_mut_slice().iter_mut().zip(targets.as_slice()) {
+        let z = *g;
         // BCE = -[t ln σ(z) + (1 - t) ln(1 - σ(z))]
         //     = -t·logσ(z) - (1-t)·logσ(-z)
         loss += -t * log_sigmoid(z) - (1.0 - t) * log_sigmoid(-z);
-        grad.as_mut_slice()[i] = (sigmoid(z) - t) / n;
+        *g = (sigmoid(z) - t) / n;
     }
-    (loss / n, grad)
+    (loss / n, logits)
 }
 
-/// Mean softmax cross-entropy with logits and its gradient.
-fn ce_with_logits(logits: &Matrix, classes: &[usize]) -> (f32, Matrix) {
+/// Mean softmax cross-entropy with logits, turning `logits` into its
+/// gradient in place.
+fn ce_with_logits(mut logits: Matrix, classes: &[usize]) -> (f32, Matrix) {
     assert_eq!(logits.rows(), classes.len(), "CE target length mismatch");
     let n = logits.rows().max(1) as f32;
-    let probs = softmax_rows(logits);
+    let cols = logits.cols();
+    softmax_rows_in_place(&mut logits);
     let mut loss = 0.0f32;
-    let mut grad = probs.clone();
     for (r, &cls) in classes.iter().enumerate() {
-        assert!(cls < logits.cols(), "class index out of range");
-        loss += -(probs.get(r, cls).max(1e-12)).ln();
-        let g = grad.row_mut(r);
+        assert!(cls < cols, "class index out of range");
+        let g = logits.row_mut(r);
+        loss += -(g[cls].max(1e-12)).ln();
         g[cls] -= 1.0;
         for v in g.iter_mut() {
             *v /= n;
         }
     }
-    (loss / n, grad)
+    (loss / n, logits)
 }
 
 #[cfg(test)]

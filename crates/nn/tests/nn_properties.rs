@@ -1,5 +1,6 @@
 //! Property tests on the neural-network substrate: linear algebra laws,
-//! parameter round-trips, optimizer convergence on random convex
+//! bit parity of the three matrix products with the plain loops they
+//! replaced, parameter round-trips, optimizer convergence on random convex
 //! problems, spectral-norm guarantees, and optimizer robustness under
 //! adversarial (NaN/Inf/huge) inputs from `ig-faults`.
 
@@ -17,6 +18,135 @@ use rand::{Rng, SeedableRng};
 fn random_matrix(rows: usize, cols: usize, seed: u64, scale: f32) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-scale..scale))
+}
+
+// ---------------- matrix-product oracles ----------------
+//
+// The plain loops `matmul`, `matmul_tn` and `matmul_nt` ran before the
+// tiled kernel, kept as the reference it must match bit for bit: every
+// output starts at +0.0 and adds `a(i,t)*b(t,j)` for ascending `t`, and
+// the first two skip a term whose left factor is exactly zero.
+
+fn oracle_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for (t, &x) in a.row(i).iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            for (o, &y) in out.row_mut(i).iter_mut().zip(b.row(t)) {
+                *o += x * y;
+            }
+        }
+    }
+    out
+}
+
+fn oracle_matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.cols(), b.cols());
+    for t in 0..a.rows() {
+        for (i, &x) in a.row(t).iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            for (o, &y) in out.row_mut(i).iter_mut().zip(b.row(t)) {
+                *o += x * y;
+            }
+        }
+    }
+    out
+}
+
+fn oracle_matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), b.rows(), |i, j| {
+        let mut acc = 0.0f32;
+        for (&x, &y) in a.row(i).iter().zip(b.row(j)) {
+            acc += x * y;
+        }
+        acc
+    })
+}
+
+/// A `rows x cols` matrix whose entries are exactly `±0.0` with
+/// probability `zeros`, `±inf` with probability `infs`, and otherwise
+/// uniform in (-2, 2).
+fn hostile_matrix(rows: usize, cols: usize, zeros: f64, infs: f64, seed: u64) -> Matrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    Matrix::from_fn(rows, cols, |_, _| {
+        let sign = if rng.gen_bool(0.5) { 1.0f32 } else { -1.0 };
+        if rng.gen_bool(zeros) {
+            sign * 0.0
+        } else if rng.gen_bool(infs) {
+            sign * f32::INFINITY
+        } else {
+            rng.gen_range(-2.0f32..2.0)
+        }
+    })
+}
+
+/// Equal shapes and equal bits everywhere, two NaNs counting as equal:
+/// the old loops never pinned NaN payloads either.
+fn ensure_bits_equal(got: &Matrix, want: &Matrix, what: &str) -> CaseResult {
+    ensure_eq!(got.shape(), want.shape());
+    for (idx, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        ensure!(
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+            "{what}: element {idx} is {x:e} ({:#010x}), the oracle has {y:e} ({:#010x})",
+            x.to_bits(),
+            y.to_bits()
+        );
+    }
+    Ok(())
+}
+
+/// Draw hostile factors for an `m x k` by `k x n` product and compare all
+/// three products with their oracles.
+fn products_match_oracles(g: &mut ig_check::Gen, (m, k, n): (usize, usize, usize)) -> CaseResult {
+    let zeros = g.gen_range(0.0f64..0.6);
+    let infs = if g.gen_bool(0.5) {
+        g.gen_range(0.0f64..0.05)
+    } else {
+        0.0
+    };
+    let seed = g.gen::<u64>();
+    let a = hostile_matrix(m, k, zeros, infs, seed);
+    let b = hostile_matrix(k, n, zeros, infs, seed ^ 1);
+    ensure_bits_equal(&a.matmul(&b), &oracle_matmul(&a, &b), "matmul")?;
+    let at = hostile_matrix(k, m, zeros, infs, seed ^ 2);
+    ensure_bits_equal(&at.matmul_tn(&b), &oracle_matmul_tn(&at, &b), "matmul_tn")?;
+    let bt = hostile_matrix(n, k, zeros, infs, seed ^ 3);
+    ensure_bits_equal(&a.matmul_nt(&bt), &oracle_matmul_nt(&a, &bt), "matmul_nt")
+}
+
+/// The `(m, k, n)` shapes the pipeline multiplies: the labeler's layers on
+/// a 480-row fold of 30 features with 2–32 hidden units and 6 classes, and
+/// the RGAN's 16-row batches through 64-unit layers over 100 latents and
+/// 12x12 patterns.
+const PIPELINE_SHAPES: &[(usize, usize, usize)] = &[
+    (480, 30, 2),
+    (480, 30, 4),
+    (480, 30, 8),
+    (480, 30, 16),
+    (480, 30, 32),
+    (480, 8, 6),
+    (480, 32, 6),
+    (16, 64, 64),
+    (16, 64, 144),
+    (16, 100, 64),
+    (16, 100, 144),
+    (16, 144, 64),
+    (16, 144, 144),
+    (64, 16, 144),
+    (144, 16, 64),
+];
+
+#[test]
+fn products_at_pipeline_shapes_match_their_oracles_bit_for_bit() -> CaseResult {
+    for (case, &shape) in PIPELINE_SHAPES.iter().enumerate() {
+        let mut g = ig_check::Gen::new(0x6d61_746d_756c ^ case as u64);
+        products_match_oracles(&mut g, shape)?;
+    }
+    Ok(())
 }
 
 /// Spectral normalization of a random `rows x cols` weight leaves its
@@ -45,6 +175,13 @@ fn spectral_normalization_caps_the_norm_saved_case() -> CaseResult {
 
 properties! {
     cases = 48;
+
+    fn products_match_their_oracles_bit_for_bit(g) {
+        let m = g.gen_range(1usize..=40);
+        let k = g.gen_range(1usize..=40);
+        let n = g.gen_range(1usize..=40);
+        products_match_oracles(g, (m, k, n))?;
+    }
 
     fn matmul_distributes_over_addition(g) {
         let m = g.gen_range(1usize..5);
