@@ -14,10 +14,14 @@
 //! stacks per pyramid level, plus cached fitted shrinks for oversized
 //! patterns), each image is prepared once per batch
 //! ([`ig_imaging::prepared::PreparedImage`] — pyramid + integral tables),
-//! and the N×M (image × pattern) cell grid is scheduled through a
-//! work-stealing atomic cursor so large images or deep-pyramid patterns
-//! can't serialize a fixed chunk. Scores are bit-identical to the
-//! per-call matchers: the exact scan is pinned by
+//! and the N×M (image × pattern) cell grid is scheduled in row-major
+//! order through a work-stealing atomic cursor, so large images or
+//! deep-pyramid patterns can't serialize a fixed chunk. A raw batch keeps
+//! only the images its workers are on prepared: an image is built when
+//! its first cell (or the previous image's middle cell) needs it and
+//! dropped after its last cell, so about `threads + 1` prepared images
+//! are live at once, whatever the batch size. Scores are bit-identical
+//! to the per-call matchers: the exact scan is pinned by
 //! `prepared_matchers_bit_identical_to_per_call` in `crates/core/tests`,
 //! the pyramid by ig-imaging's
 //! `refine_ladder_bit_identical_to_per_placement_reference`.
@@ -31,7 +35,7 @@ use ig_imaging::prepared::{match_prepared, match_prepared_exact, PreparedImage, 
 use ig_imaging::GrayImage;
 use ig_nn::Matrix;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Pixel variance below which a pattern is degenerate: NCC normalizes by
 /// the pattern's standard deviation, so a (near-)constant pattern can
@@ -302,52 +306,37 @@ impl FeatureGenerator {
     ) -> Matrix {
         match images {
             DevSet::Raw(images) => {
-                // Per-image caches fill lazily inside the worker pool, so
-                // image preparation itself is parallelized across the batch.
-                let slots: Vec<OnceLock<PreparedImage>> =
-                    images.iter().map(|_| OnceLock::new()).collect();
-                let prep_of = |i: usize| {
-                    slots[i].get_or_init(|| PreparedImage::new(images[i], &self.pyramid))
-                };
-                self.matrix_engine(images.len(), row_offset, &prep_of, plan, health)
+                let live = LiveImages::new(images, self.patterns.len(), &self.pyramid);
+                self.matrix_engine(&live, row_offset, plan, health)
             }
-            DevSet::Prepared(images) => {
-                let prep_of = |i: usize| &images[i];
-                self.matrix_engine(images.len(), row_offset, &prep_of, plan, health)
-            }
+            DevSet::Prepared(images) => self.matrix_engine(images, row_offset, plan, health),
         }
     }
 
-    /// The batched engine: schedule all `n × num_patterns` cells through
-    /// [`work_steal`], then assemble the matrix. `prep_of` yields the
-    /// prepared form of image `i` (lazily built or supplied by the caller);
-    /// `row_offset` translates local image indices into global matrix rows
-    /// for the fault ladder when `n` is one shard of a larger batch.
-    fn matrix_engine<'a, F>(
+    /// The batched engine: schedule all `n × m` cells through
+    /// [`work_steal`] in row-major order, cell `c` being (image `c / m`,
+    /// pattern `c % m`), so the cell results are the matrix's data in
+    /// order. `images` lends each cell its prepared image (built lazily
+    /// or supplied by the caller); `row_offset` translates local image
+    /// indices into global matrix rows for the fault ladder when the batch
+    /// is one shard of a larger one.
+    fn matrix_engine<B: BatchImages + ?Sized>(
         &self,
-        n: usize,
+        images: &B,
         row_offset: usize,
-        prep_of: &F,
         plan: Option<&FaultPlan>,
         health: &HealthReport,
-    ) -> Matrix
-    where
-        F: Fn(usize) -> &'a PreparedImage + Sync,
-    {
-        let m = self.patterns.len();
-        if n == 0 {
-            return Matrix::zeros(0, m);
-        }
-        // Pattern-major order: cell c is (image c % n, pattern c / n), so
-        // workers start on distinct images and the per-image cache builds
-        // run in parallel instead of serializing on image 0.
+    ) -> Matrix {
+        let (n, m) = (images.len(), self.patterns.len());
         let cells = work_steal(
             n * m,
             self.threads,
             plan,
             |c| {
-                let (i, j) = (c % n, c / n);
-                self.finish_cell(prep_of(i), row_offset + i, j, plan, health)
+                let (i, j) = (c / m, c % m);
+                images.with_image(i, j, |image| {
+                    self.finish_cell(image, row_offset + i, j, plan, health)
+                })
             },
             |panicked, lost| {
                 for w in panicked {
@@ -362,11 +351,7 @@ impl FeatureGenerator {
                 }
             },
         );
-        let mut data = vec![0.0f32; n * m];
-        for (c, v) in cells.into_iter().enumerate() {
-            data[(c % n) * m + c / n] = v;
-        }
-        Matrix::from_vec(n, m, data)
+        Matrix::from_vec(n, m, cells)
     }
 
     /// Per-image maximum over all features — the "did anything match at
@@ -382,6 +367,172 @@ impl FeatureGenerator {
         } else {
             0.0
         }
+    }
+}
+
+/// A batch's images as the engine's cells see them.
+trait BatchImages: Sync {
+    /// Number of images (matrix rows).
+    fn len(&self) -> usize;
+
+    /// Run `score` on the prepared form of image `i` for the cell
+    /// (`i`, pattern `j`).
+    fn with_image(&self, i: usize, j: usize, score: impl FnOnce(&PreparedImage) -> f32) -> f32;
+}
+
+/// Images the caller prepared: every cell borrows its image.
+impl BatchImages for [PreparedImage] {
+    fn len(&self) -> usize {
+        <[PreparedImage]>::len(self)
+    }
+
+    fn with_image(&self, i: usize, _: usize, score: impl FnOnce(&PreparedImage) -> f32) -> f32 {
+        score(&self[i])
+    }
+}
+
+/// The working set of a raw batch: one slot per image, filled when the
+/// image is first needed and emptied when its last cell finishes.
+///
+/// Cells run in row-major order, so the images with unfinished cells are
+/// the ones the workers are on plus the one the cursor is in. A worker
+/// on an image's middle cell (pattern `m / 2`) also prepares the next
+/// image, so that build overlaps the rest of the current image instead
+/// of stalling the worker that claims the next image's first cell. At
+/// most `threads + 1` images are live while the workers run. A released
+/// image goes to a spare list, and the next build overwrites its buffers
+/// ([`PreparedImage::rebuild`]), so a batch allocates no more prepared
+/// images than were ever live at once and, past its first few images,
+/// faults in no fresh pages for them.
+///
+/// Recovery after a worker panic recomputes lost cells serially: a lost
+/// cell that never finished kept its image live, and one that finished
+/// before its result was lost rebuilds the image for that cell only.
+struct LiveImages<'a> {
+    images: &'a [&'a GrayImage],
+    pyramid: &'a PyramidMatchConfig,
+    /// Cells per image (the pattern count).
+    cols: usize,
+    slots: Vec<Mutex<Slot>>,
+    /// Released images whose buffers the next build reuses.
+    spare: Mutex<Vec<PreparedImage>>,
+    /// Images live now, and the most live at once.
+    #[cfg(test)]
+    census: Mutex<(usize, usize)>,
+}
+
+struct Slot {
+    image: Option<Arc<PreparedImage>>,
+    /// Cells of this image that have not finished.
+    pending: usize,
+}
+
+impl<'a> LiveImages<'a> {
+    fn new(images: &'a [&'a GrayImage], cols: usize, pyramid: &'a PyramidMatchConfig) -> Self {
+        let slots = images
+            .iter()
+            .map(|_| {
+                Mutex::new(Slot {
+                    image: None,
+                    pending: cols,
+                })
+            })
+            .collect();
+        Self {
+            images,
+            pyramid,
+            cols,
+            slots,
+            spare: Mutex::new(Vec::new()),
+            #[cfg(test)]
+            census: Mutex::new((0, 0)),
+        }
+    }
+
+    /// Lock slot `i`. A panic while it is held (inside a build) leaves
+    /// the slot as it was before that build, so a poisoned slot is still
+    /// consistent and is used as is.
+    fn slot(&self, i: usize) -> MutexGuard<'_, Slot> {
+        self.slots[i].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Prepare image `i`, over a spare image's buffers when there is one.
+    fn build(&self, i: usize) -> Arc<PreparedImage> {
+        #[cfg(test)]
+        {
+            let mut census = self.census.lock().unwrap();
+            census.0 += 1;
+            census.1 = census.1.max(census.0);
+        }
+        let spare = self
+            .spare
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        Arc::new(match spare {
+            Some(mut image) => {
+                image.rebuild(self.images[i], self.pyramid);
+                image
+            }
+            None => PreparedImage::new(self.images[i], self.pyramid),
+        })
+    }
+
+    /// Prepare image `i` ahead of its first cell, unless it is already
+    /// prepared or every one of its cells has finished.
+    fn prefetch(&self, i: usize) {
+        let mut slot = self.slot(i);
+        if slot.image.is_none() && slot.pending > 0 {
+            slot.image = Some(self.build(i));
+        }
+    }
+
+    /// Count one finished cell of image `i`; the last one releases it.
+    fn finish(&self, i: usize) {
+        let mut slot = self.slot(i);
+        slot.pending = slot.pending.saturating_sub(1);
+        if slot.pending == 0 {
+            if let Some(image) = slot.image.take() {
+                #[cfg(test)]
+                {
+                    self.census.lock().unwrap().0 -= 1;
+                }
+                if let Ok(image) = Arc::try_unwrap(image) {
+                    self.spare
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(image);
+                }
+            }
+        }
+    }
+
+    /// The most images that were prepared at once.
+    #[cfg(test)]
+    fn peak(&self) -> usize {
+        self.census.lock().unwrap().1
+    }
+}
+
+impl BatchImages for LiveImages<'_> {
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn with_image(&self, i: usize, j: usize, score: impl FnOnce(&PreparedImage) -> f32) -> f32 {
+        let image = {
+            let mut slot = self.slot(i);
+            Arc::clone(slot.image.get_or_insert_with(|| self.build(i)))
+        };
+        if j == self.cols / 2 && i + 1 < self.slots.len() {
+            self.prefetch(i + 1);
+        }
+        let v = score(&image);
+        // Let go before counting down, so the last cell's release holds
+        // the only handle and can hand the buffers on.
+        drop(image);
+        self.finish(i);
+        v
     }
 }
 
@@ -633,6 +784,28 @@ mod tests {
         let m2 = fg2.feature_matrix_prepared(&prepped);
         assert_eq!(m2.shape(), (5, 1));
         assert_eq!(m2.as_slice(), fg2.feature_matrix(&refs).as_slice());
+    }
+
+    #[test]
+    fn raw_batch_keeps_at_most_threads_plus_one_images_prepared() {
+        let pats = vec![defect_pattern(), defect_pattern(), defect_pattern()];
+        let images: Vec<GrayImage> = (0..12).map(|i| image_with_defect((i * 4, 7))).collect();
+        let refs: Vec<&GrayImage> = images.iter().collect();
+        for threads in [1, 2] {
+            let fg = FeatureGenerator::new(pats.clone())
+                .unwrap()
+                .with_threads(threads);
+            let live = LiveImages::new(&refs, fg.num_features(), &fg.pyramid);
+            let m = fg.matrix_engine(&live, 0, None, &HealthReport::new());
+            assert!(
+                (1..=threads + 1).contains(&live.peak()),
+                "{threads} threads kept {} of 12 images prepared",
+                live.peak()
+            );
+            assert_eq!(live.census.lock().unwrap().0, 0, "every image released");
+            let prepared = fg.feature_matrix_prepared(&fg.prepare_images(&refs));
+            assert_eq!(m.as_slice(), prepared.as_slice());
+        }
     }
 
     #[test]

@@ -270,6 +270,9 @@ fn features_in_shards(
             let total_bytes = prepared.iter().map(|i| i.approx_bytes() as u64).sum();
             ShardPlan::for_budget(prepared.len(), total_bytes, ctx.scale().memory_budget_bytes)
         }
+        // A raw batch is one shard even under a budget: the engine keeps
+        // only about `threads + 1` of its images prepared at once, so its
+        // working set does not grow with the batch.
         DevSet::Raw(_) => ShardPlan::single(images.len()),
     };
     let cols = generator.num_features();

@@ -5,8 +5,9 @@
 //!
 //! Also pins the batched matching engine's contracts: the prepared
 //! (cached pyramid/integral) matchers are bit-identical to the per-call
-//! matchers over random inputs, and cell-granular panic recovery
-//! reconstructs the serial result exactly.
+//! matchers over random inputs, the raw and prepared batch arms equal
+//! the per-cell matcher under faults at any thread count, and
+//! cell-granular panic recovery reconstructs the serial result exactly.
 
 use ig_check::{ensure, ensure_eq, properties};
 use ig_core::{
@@ -16,7 +17,10 @@ use ig_core::{
 use ig_faults::inject::{adversarial_labels, adversarial_matrix, corrupt_matrix};
 use ig_faults::FaultPlan;
 use ig_imaging::ncc::PyramidMatchConfig;
-use ig_imaging::{match_prepared_exact, match_template, GrayImage, PreparedImage, PreparedPattern};
+use ig_imaging::{
+    match_prepared_exact, match_template, match_template_pyramid, GrayImage, PreparedImage,
+    PreparedPattern,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -190,6 +194,86 @@ properties! {
         ensure_eq!(serial.shape(), recovered.shape());
         for (a, b) in serial.as_slice().iter().zip(recovered.as_slice()) {
             ensure_eq!(a.to_bits(), b.to_bits(), "recovered {} vs serial {}", b, a);
+        }
+    }
+
+    /// The three ways to score a batch agree bit for bit under faults:
+    /// the raw arm (each image prepared on first use and released after
+    /// its last cell), the prepared arm, and `match_template_pyramid` per
+    /// cell through the same fault ladder, at 1, 2 and 4 threads. The
+    /// sanitized-cell count is a function of the plan alone; which
+    /// poisoned workers panic depends on which of them claims a cell, so
+    /// panics are bounded by the poisoned count and each one is recovered.
+    fn raw_prepared_and_per_cell_features_agree_under_faults(g) {
+        let n_images = g.gen_range(1usize..10);
+        let n_patterns = g.gen_range(1usize..5);
+        let row_offset = g.gen_range(0usize..50);
+        let seed = g.gen::<u64>();
+        let plan = FaultPlan {
+            seed: seed ^ 0x7a11,
+            worker_panic_rate: g.gen_range(0.0f64..=1.0),
+            nan_feature_rate: g.gen_range(0.0f64..0.3),
+            inf_feature_rate: g.gen_range(0.0f64..0.2),
+            ..FaultPlan::default()
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let images: Vec<GrayImage> = (0..n_images)
+            .map(|_| {
+                let (w, h) = (rng.gen_range(16usize..40), rng.gen_range(16usize..40));
+                random_image(w, h, &mut rng)
+            })
+            .collect();
+        let patterns: Vec<Pattern> = (0..n_patterns)
+            .map(|_| {
+                let (w, h) = (rng.gen_range(3usize..10), rng.gen_range(3usize..10));
+                Pattern::crowd(random_image(w, h, &mut rng))
+            })
+            .collect();
+        let config = PyramidMatchConfig::default();
+        let (mut expected, mut errors, mut sanitized) = (Vec::new(), 0, 0);
+        for (i, image) in images.iter().enumerate() {
+            for (j, pattern) in patterns.iter().enumerate() {
+                let v = match match_template_pyramid(image, &pattern.image, &config) {
+                    Ok(m) => m.score,
+                    Err(_) => {
+                        errors += 1;
+                        0.0
+                    }
+                };
+                let v = plan.corrupt_feature(row_offset + i, j, v);
+                if !v.is_finite() {
+                    sanitized += 1;
+                }
+                expected.push(if v.is_finite() { v } else { 0.0 });
+            }
+        }
+        let refs: Vec<&GrayImage> = images.iter().collect();
+        let cells = n_images * n_patterns;
+        for threads in [1, 2, 4] {
+            let fg = FeatureGenerator::new(patterns.clone())
+                .unwrap()
+                .with_threads(threads);
+            let prepared = fg.prepare_images(&refs);
+            let workers = if threads.min(cells) > 1 { threads.min(cells) } else { 0 };
+            let poisoned = (0..workers).filter(|&w| plan.worker_panic(w)).count();
+            for (arm, batch) in [("raw", DevSet::Raw(&refs)), ("prepared", DevSet::Prepared(&prepared))] {
+                let health = HealthReport::new();
+                let m = fg.feature_matrix_with_health(batch, row_offset, Some(&plan), &health);
+                ensure_eq!(m.shape(), (n_images, n_patterns));
+                for (c, (a, b)) in expected.iter().zip(m.as_slice()).enumerate() {
+                    ensure_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{arm} arm, {threads} threads, cell {c}: {b} vs per-cell {a}"
+                    );
+                }
+                let panics = health.count(FaultKind::WorkerPanic);
+                ensure_eq!(health.count(FaultKind::MatchError), errors, "{arm}, {threads} threads");
+                ensure_eq!(health.count(FaultKind::NonFiniteFeature), sanitized, "{arm}, {threads} threads");
+                ensure!(panics <= poisoned, "{arm}, {threads} threads: {panics} panics, {poisoned} poisoned");
+                ensure_eq!(health.count_action(RecoveryAction::SerialRecompute), panics);
+                ensure_eq!(health.len(), errors + sanitized + panics);
+            }
         }
     }
 

@@ -459,11 +459,27 @@ impl<'a> ImageSums<'a> {
     /// when it dropped the prepared image, and the next call faulted it
     /// in again.
     pub(crate) fn stack(images: &[GrayImage]) -> Vec<f64> {
+        let mut table = Vec::new();
+        ImageSums::stack_into(images, &mut table);
+        table
+    }
+
+    /// [`ImageSums::stack`] written over `table`, whose allocation is
+    /// kept when it is large enough.
+    pub(crate) fn stack_into(images: &[GrayImage], table: &mut Vec<f64>) {
         let lens: Vec<usize> = images
             .iter()
             .map(|image| table_len(image.width(), image.height()))
             .collect();
-        let mut table = vec![0.0f64; 2 * lens.iter().sum::<usize>()];
+        let len = 2 * lens.iter().sum::<usize>();
+        if table.capacity() < len {
+            // A fresh zeroed allocation: the allocator can hand back pages
+            // the OS has already zeroed instead of writing the zeros.
+            *table = vec![0.0; len];
+        } else {
+            table.clear();
+            table.resize(len, 0.0);
+        }
         let mut rest = table.as_mut_slice();
         for (image, &n) in images.iter().zip(&lens) {
             let (values, tail) = rest.split_at_mut(n);
@@ -472,7 +488,6 @@ impl<'a> ImageSums<'a> {
             fill(image, square, squares);
             rest = tail;
         }
-        table
     }
 
     /// The tables of `images[i]` in `stack`, a buffer that

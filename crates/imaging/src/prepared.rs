@@ -57,6 +57,15 @@ impl PreparedImage {
         Self { pyramid, tables }
     }
 
+    /// Turn this into [`PreparedImage::new`]`(image, config)`, writing the
+    /// integral tables over this image's table buffer, so a batch that
+    /// prepares images one after another does not allocate (and fault
+    /// in) its largest buffer for every image.
+    pub fn rebuild(&mut self, image: &GrayImage, config: &PyramidMatchConfig) {
+        self.pyramid = Pyramid::build(image, config.max_levels.max(1), 2);
+        ImageSums::stack_into(self.pyramid.levels(), &mut self.tables);
+    }
+
     /// The integral tables of pyramid level `lvl`.
     fn sums(&self, lvl: usize) -> Option<ImageSums<'_>> {
         ImageSums::in_stack(&self.tables, self.pyramid.levels(), lvl)
@@ -431,6 +440,26 @@ mod tests {
         GrayImage::from_fn(w, h, |x, y| {
             0.4 + 0.25 * ((x as f32 * 0.31 + phase).sin() * (y as f32 * 0.17).cos())
         })
+    }
+
+    #[test]
+    fn rebuild_in_place_equals_a_fresh_build() {
+        let cfg = PyramidMatchConfig::default();
+        let mut rng = StdRng::seed_from_u64(11);
+        // Larger, smaller and equal dims, so the table buffer both grows
+        // and is reused with room to spare; the 3x2 image has one level.
+        let mut reused = PreparedImage::new(&random_image(40, 30, &mut rng), &cfg);
+        for (w, h) in [(64, 48), (17, 33), (64, 48), (3, 2), (40, 30)] {
+            let image = random_image(w, h, &mut rng);
+            reused.rebuild(&image, &cfg);
+            let fresh = PreparedImage::new(&image, &cfg);
+            assert_eq!(reused.num_levels(), fresh.num_levels(), "{w}x{h}");
+            for (a, b) in reused.levels().iter().zip(fresh.levels()) {
+                assert_eq!(a, b, "{w}x{h}");
+            }
+            let bits = |p: &PreparedImage| p.tables.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&reused), bits(&fresh), "{w}x{h}");
+        }
     }
 
     #[test]

@@ -76,12 +76,14 @@ pub const ENGINE_FILES: &[&str] = &[
 ];
 
 /// Files where the C1 `lock-discipline` rule applies: the memory store and
-/// disk tier of the runtime (Mutex + advisory pid lock) and the imaging
-/// engine's hot-path cache — the prepared-pattern fitted-variant cache.
+/// disk tier of the runtime (Mutex + advisory pid lock), the imaging
+/// engine's hot-path cache — the prepared-pattern fitted-variant cache —
+/// and the feature engine's per-image slots and spare list.
 pub fn lock_scope(rel_path: &str) -> bool {
     rel_path == "crates/runtime/src/store.rs"
         || rel_path == "crates/runtime/src/disk.rs"
         || rel_path == "crates/imaging/src/prepared.rs"
+        || rel_path == "crates/core/src/features.rs"
 }
 
 /// Classify a workspace-relative path (forward slashes).
@@ -269,6 +271,20 @@ mod tests {
         assert_eq!(classify("tests/integration.rs"), FileClass::Test);
         // Self-application: the linter is library code to itself.
         assert_eq!(classify("crates/lint/src/main.rs"), FileClass::Library);
+    }
+
+    #[test]
+    fn lock_scope_paths() {
+        for path in [
+            "crates/runtime/src/store.rs",
+            "crates/runtime/src/disk.rs",
+            "crates/imaging/src/prepared.rs",
+            "crates/core/src/features.rs",
+        ] {
+            assert!(lock_scope(path), "{path}");
+        }
+        assert!(!lock_scope("crates/core/src/pipeline.rs"));
+        assert!(!lock_scope("crates/faults/src/health.rs"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! C1: lock discipline in the runtime store/disk tier and the imaging
-//! prepared-pattern cache.
+//! C1: lock discipline in the runtime store/disk tier, the imaging
+//! prepared-pattern cache and the feature engine's image slots.
 //!
 //! Three invariants, all over the workspace call graph:
 //!
