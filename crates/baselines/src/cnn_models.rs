@@ -160,8 +160,8 @@ mod tests {
             CnnArch::MiniMobileNet,
             CnnArch::MiniResNet,
         ] {
-            let mut cnn = arch.build(3, 0.01, &mut rng);
-            let logits = cnn.forward_logits(&x, false);
+            let cnn = arch.build(3, 0.01, &mut rng);
+            let logits = cnn.forward_logits(&x);
             assert_eq!(logits.shape(), (2, 3), "{arch:?}");
         }
     }

@@ -1,7 +1,6 @@
 //! # ig-baselines
 //!
-//! Every system Inspector Gadget is compared against in Section 6, plus
-//! the end-model machinery of Section 6.6:
+//! Every system Inspector Gadget is compared against in Section 6:
 //!
 //! * [`snuba`] — Snuba (Varma & Ré, PVLDB 2018): automatic labeling-
 //!   function synthesis over primitives (here: the same FGF similarity
@@ -13,16 +12,16 @@
 //!   bank (see DESIGN.md);
 //! * [`cnn_models`] + [`selflearn`] — self-learning CNN baselines: MiniVGG
 //!   (for VGG-19), MiniMobileNet (for MobileNetV2) and MiniResNet (for
-//!   ResNet50) trained on the development set only;
+//!   ResNet50) trained on the development set only. The same
+//!   [`SelfLearner`] is the end model of Section 6.6 (Table 5), trained on
+//!   dev ∪ weak labels and scored with `ig_eval::metrics::task_f1`;
 //! * [`transfer`] — the transfer-learning baseline: pre-train on a source
 //!   corpus (SynthNet playing ImageNet, or another defect dataset for
-//!   Table 2), fine-tune on the target dev set;
-//! * [`endmodel`] — train an end model on dev ∪ weak labels (Table 5).
+//!   Table 2), fine-tune on the target dev set.
 
 #![warn(missing_docs)]
 
 pub mod cnn_models;
-pub mod endmodel;
 pub mod goggles;
 pub mod label_model;
 pub mod selflearn;

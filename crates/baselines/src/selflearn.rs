@@ -87,7 +87,7 @@ impl SelfLearner {
     }
 
     /// Label a batch of images.
-    pub fn label(&mut self, images: &[&GrayImage]) -> Vec<usize> {
+    pub fn label(&self, images: &[&GrayImage]) -> Vec<usize> {
         if images.is_empty() {
             return Vec::new();
         }
@@ -152,7 +152,7 @@ fn select_tensor(full: &Tensor4, indices: &[usize], side: usize) -> Tensor4 {
     out
 }
 
-fn validation_loss(cnn: &mut Cnn, x: &Tensor4, labels: &[usize]) -> f32 {
+fn validation_loss(cnn: &Cnn, x: &Tensor4, labels: &[usize]) -> f32 {
     let probs = cnn.predict_proba(x);
     let mut loss = 0.0f32;
     for (r, &c) in labels.iter().enumerate() {
@@ -164,6 +164,7 @@ fn validation_loss(cnn: &mut Cnn, x: &Tensor4, labels: &[usize]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ig_eval::metrics::task_f1;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -199,7 +200,7 @@ mod tests {
             epochs: 20,
             ..Default::default()
         };
-        let mut learner = SelfLearner::train(
+        let learner = SelfLearner::train(
             CnnArch::MiniVgg,
             &refs[..30],
             &labels[..30],
@@ -226,7 +227,7 @@ mod tests {
             epochs: 3,
             ..Default::default()
         };
-        let mut learner =
+        let learner =
             SelfLearner::train(CnnArch::MiniMobileNet, &refs, &labels, 2, &config, &mut rng);
         assert_eq!(learner.label(&refs).len(), 6);
     }
@@ -241,9 +242,64 @@ mod tests {
             epochs: 2,
             ..Default::default()
         };
-        let mut learner =
-            SelfLearner::train(CnnArch::MiniResNet, &refs, &labels, 2, &config, &mut rng);
+        let learner = SelfLearner::train(CnnArch::MiniResNet, &refs, &labels, 2, &config, &mut rng);
         assert!(learner.label(&[]).is_empty());
+    }
+
+    #[test]
+    fn more_training_data_helps_the_end_model() {
+        // The Table 5 mechanism in miniature: a model trained on dev+weak
+        // (larger, slightly noisy) beats the tiny-dev model.
+        let make = |n: usize, seed: u64| -> (Vec<GrayImage>, Vec<usize>) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut images = Vec::new();
+            let mut labels = Vec::new();
+            for i in 0..n {
+                let pos = i % 2 == 1;
+                let img = GrayImage::from_fn(16, 16, |x, _| {
+                    let noise = rng.gen_range(-0.08..0.08f32);
+                    if pos && (5..11).contains(&x) {
+                        0.85 + noise
+                    } else {
+                        0.4 + noise
+                    }
+                });
+                images.push(img);
+                labels.push(usize::from(pos));
+            }
+            (images, labels)
+        };
+        let config = SelfLearnConfig {
+            side: 16,
+            epochs: 10,
+            ..Default::default()
+        };
+        let (test_images, test_labels) = make(40, 99);
+        let test_refs: Vec<&GrayImage> = test_images.iter().collect();
+        let score = |images: &[&GrayImage], labels: &[usize], rng: &mut StdRng| {
+            let learner = SelfLearner::train(CnnArch::MiniVgg, images, labels, 2, &config, rng);
+            task_f1(2, &test_labels, &learner.label(&test_refs))
+        };
+
+        let mut small_total = 0.0;
+        let mut big_total = 0.0;
+        for seed in 0..3u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (small_images, small_labels) = make(6, 10 + seed);
+            let small_refs: Vec<&GrayImage> = small_images.iter().collect();
+            small_total += score(&small_refs, &small_labels, &mut rng);
+            let (big_images, mut big_labels) = make(60, 20 + seed);
+            // Corrupt 10% of the big set's labels to mimic weak labels.
+            for l in big_labels.iter_mut().step_by(10) {
+                *l = 1 - *l;
+            }
+            let big_refs: Vec<&GrayImage> = big_images.iter().collect();
+            big_total += score(&big_refs, &big_labels, &mut rng);
+        }
+        assert!(
+            big_total >= small_total,
+            "dev+weak {big_total:.3} vs dev-only {small_total:.3}"
+        );
     }
 
     #[test]

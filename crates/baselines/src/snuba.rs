@@ -15,7 +15,7 @@
 
 use crate::label_model::{LabelModel, Vote};
 use ig_core::labeler::{Labeler, LabelerConfig};
-use ig_eval::metrics::{binary_f1, macro_f1};
+use ig_eval::metrics::task_f1;
 use ig_nn::lbfgs::LbfgsConfig;
 use ig_nn::Matrix;
 use rand::seq::SliceRandom;
@@ -255,13 +255,7 @@ fn fit_candidate(
         if covered_gold.is_empty() {
             continue;
         }
-        let f1 = if num_classes == 2 {
-            let g: Vec<bool> = covered_gold.iter().map(|&v| v == 1).collect();
-            let p: Vec<bool> = covered_pred.iter().map(|&v| v == 1).collect();
-            binary_f1(&g, &p).f1
-        } else {
-            macro_f1(num_classes, &covered_gold, &covered_pred)
-        };
+        let f1 = task_f1(num_classes, &covered_gold, &covered_pred);
         let total_uncovered: usize = uncovered.iter().filter(|&&u| u).count();
         let novelty = if total_uncovered == 0 {
             0.5 // committee already covers everything; score by F1 alone

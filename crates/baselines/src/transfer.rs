@@ -110,7 +110,7 @@ mod tests {
         let tgt_refs: Vec<&GrayImage> = tgt_images.iter().collect();
         // Target task has 3 classes (artificial) to prove head swap works.
         let tgt3: Vec<usize> = tgt_labels.iter().map(|&l| l + 1).collect();
-        let mut tuned = fine_tune(learner, &tgt_refs, &tgt3, 4, &config, &mut rng);
+        let tuned = fine_tune(learner, &tgt_refs, &tgt3, 4, &config, &mut rng);
         let preds = tuned.label(&tgt_refs);
         assert!(preds.iter().all(|&p| p < 4));
     }
@@ -145,7 +145,7 @@ mod tests {
                 &config,
                 &mut rng,
             );
-            let mut tuned = fine_tune(pre, &dev_refs, &dev_labels, 2, &config, &mut rng);
+            let tuned = fine_tune(pre, &dev_refs, &dev_labels, 2, &config, &mut rng);
             transfer_correct += tuned
                 .label(&test_refs)
                 .iter()
@@ -153,7 +153,7 @@ mod tests {
                 .filter(|(a, b)| a == b)
                 .count();
 
-            let mut scratch = SelfLearner::train(
+            let scratch = SelfLearner::train(
                 CnnArch::MiniVgg,
                 &dev_refs,
                 &dev_labels,

@@ -38,7 +38,7 @@
 use crate::features::{default_threads, work_steal};
 use crate::labeler::{Labeler, LabelerConfig};
 use crate::{CoreError, Result};
-use ig_eval::metrics::{binary_f1, macro_f1};
+use ig_eval::metrics::task_f1;
 use ig_faults::{FaultKind, FaultPlan, HealthReport, RecoveryAction, Stage};
 use ig_nn::lbfgs::LbfgsConfig;
 use ig_nn::train::{paper_fold_count, stratified_kfold};
@@ -118,16 +118,6 @@ pub fn candidate_architectures(input_dim: usize, max_depth: usize) -> Vec<Vec<us
     out
 }
 
-fn f1_of(num_classes: usize, gold: &[usize], pred: &[usize]) -> f64 {
-    if num_classes == 2 {
-        let g: Vec<bool> = gold.iter().map(|&v| v == 1).collect();
-        let p: Vec<bool> = pred.iter().map(|&v| v == 1).collect();
-        binary_f1(&g, &p).f1
-    } else {
-        macro_f1(num_classes, gold, pred)
-    }
-}
-
 /// One cross-validation fit, drawn in phase 1: a fold's rows and the
 /// candidate's initialization for it.
 struct FoldJob {
@@ -191,7 +181,7 @@ fn fold_f1(features: &Matrix, labels: &[usize], num_classes: usize, job: &FoldJo
     let mut labeler = job.init.clone();
     labeler.fit(&features.select_rows(&job.train), &rows_labels(&job.train))?;
     let preds = labeler.predict(&features.select_rows(&job.val));
-    Ok(f1_of(num_classes, &rows_labels(&job.val), &preds))
+    Ok(task_f1(num_classes, &rows_labels(&job.val), &preds))
 }
 
 /// Full tuning procedure: score every candidate, retrain the best on the

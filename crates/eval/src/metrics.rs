@@ -147,9 +147,31 @@ pub fn macro_f1(classes: usize, gold: &[usize], pred: &[usize]) -> f64 {
     ConfusionMatrix::from_pairs(classes, gold, pred).macro_f1()
 }
 
+/// The task's F1 over class-index slices: positive-class F1 (class 1 is
+/// the defect) when there are 2 classes, macro-F1 otherwise.
+pub fn task_f1(classes: usize, gold: &[usize], pred: &[usize]) -> f64 {
+    if classes == 2 {
+        let g: Vec<bool> = gold.iter().map(|&v| v == 1).collect();
+        let p: Vec<bool> = pred.iter().map(|&v| v == 1).collect();
+        binary_f1(&g, &p).f1
+    } else {
+        macro_f1(classes, gold, pred)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn task_f1_dispatches_binary_and_macro() {
+        let gold = [0usize, 1, 1, 0];
+        assert_eq!(task_f1(2, &gold, &gold), 1.0);
+        let gold3 = [0usize, 1, 2, 0];
+        assert_eq!(task_f1(3, &gold3, &gold3), 1.0);
+        let wrong = [1usize, 0, 0, 1];
+        assert_eq!(task_f1(2, &gold, &wrong), 0.0);
+    }
 
     #[test]
     fn perfect_binary_prediction() {

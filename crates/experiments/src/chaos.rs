@@ -23,7 +23,7 @@
 //! quarantine what the checksums reject, recompute it, and land the cold
 //! pass's F1 exactly. See [`run_durability_arm`].
 
-use crate::common::{default_policies, f1, gan_config, ExpEnv, Prepared, Report};
+use crate::common::{default_policies, gan_config, ExpEnv, Prepared, Report};
 use crate::json::json_record;
 use ig_augment::{augment_with_health, AugmentMethod};
 use ig_core::{
@@ -31,6 +31,7 @@ use ig_core::{
     Pattern, PatternSource, PipelineConfig, RecoveryAction, RunContext, ScalePlan,
 };
 use ig_crowd::{CrowdWorkflow, WorkerModel};
+use ig_eval::metrics::task_f1;
 use ig_faults::Stage as FaultStage;
 use ig_runtime::{infallible, DiskStats, DiskStore, GenerateDataset};
 use ig_synth::spec::{DatasetKind, DatasetSpec};
@@ -286,7 +287,7 @@ fn run_arm(
     .ok()?;
     health.absorb(&ig.health);
     let out = ig.label_in(ctx, DevSet::Prepared(&prepared.test_prepared(ctx)));
-    let score = f1(prepared.num_classes(), &prepared.test_labels(), &out.labels);
+    let score = task_f1(prepared.num_classes(), &prepared.test_labels(), &out.labels);
     Some(score)
 }
 

@@ -16,7 +16,7 @@ use ig_core::{
     PipelineConfig, RunContext, ScalePlan, ScaleTier,
 };
 use ig_crowd::{sample_dev_set, CrowdWorkflow};
-use ig_eval::metrics::{binary_f1, macro_f1};
+use ig_eval::metrics::task_f1;
 use ig_imaging::prepared::PreparedImage;
 use ig_nn::Matrix;
 use ig_runtime::{infallible, GenerateDataset, PrepareImages};
@@ -161,17 +161,6 @@ impl Prepared {
             .iter()
             .map(|&i| self.dataset.images[i].label)
             .collect()
-    }
-}
-
-/// Task-appropriate F1 (positive-class or macro).
-pub fn f1(num_classes: usize, gold: &[usize], pred: &[usize]) -> f64 {
-    if num_classes == 2 {
-        let g: Vec<bool> = gold.iter().map(|&v| v == 1).collect();
-        let p: Vec<bool> = pred.iter().map(|&v| v == 1).collect();
-        binary_f1(&g, &p).f1
-    } else {
-        macro_f1(num_classes, gold, pred)
     }
 }
 
@@ -381,7 +370,7 @@ pub fn run_ig_with_patterns(
     let test_features = ig.features_in(ctx, DevSet::Prepared(&test_prep));
     let out = ig.label_from_features(&test_features);
     let gold = prepared.test_labels();
-    let score = f1(num_classes, &gold, &out.labels);
+    let score = task_f1(num_classes, &gold, &out.labels);
     // The dev matrix was already computed (and tuned on) during training.
     let dev_features = ig.dev_features().clone();
     Some(IgRun {

@@ -4,13 +4,14 @@
 //! the development set.
 
 use crate::common::{
-    crowd_patterns, default_policies, f1, feature_generator, gan_config, ExpEnv, Prepared, Report,
+    crowd_patterns, default_policies, feature_generator, gan_config, ExpEnv, Prepared, Report,
 };
 use crate::json::json_record;
 use ig_augment::{augment, AugmentMethod};
 use ig_core::labeler::{Labeler, LabelerConfig};
 use ig_core::tuning::{candidate_architectures, tune_labeler_with_health, TuningConfig};
 use ig_crowd::CrowdWorkflow;
+use ig_eval::metrics::task_f1;
 use ig_nn::lbfgs::LbfgsConfig;
 use ig_synth::spec::DatasetKind;
 use rand::rngs::StdRng;
@@ -102,7 +103,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
                 continue;
             }
             let preds = labeler.predict(&test_features);
-            let score = f1(num_classes, &test_labels, &preds);
+            let score = task_f1(num_classes, &test_labels, &preds);
             min_f1 = min_f1.min(score);
             max_f1 = max_f1.max(score);
         }
@@ -123,7 +124,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
                 continue;
             }
         };
-        let tuned_f1 = f1(num_classes, &test_labels, &tuned.predict(&test_features));
+        let tuned_f1 = task_f1(num_classes, &test_labels, &tuned.predict(&test_features));
 
         report.line(format!(
             "{:<22} {:>8.3} {:>8.3} {:>12.3}  {:?}",

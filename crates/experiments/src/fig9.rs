@@ -2,7 +2,7 @@
 //! Inspector Gadget, Snuba, GOGGLES, self-learning VGG19 / MobileNetV2,
 //! and the transfer-learning baseline.
 
-use crate::common::{f1, run_inspector_gadget, ExpEnv, Prepared, Report};
+use crate::common::{run_inspector_gadget, ExpEnv, Prepared, Report};
 use crate::json::json_record;
 use ig_augment::AugmentMethod;
 use ig_baselines::cnn_models::CnnArch;
@@ -11,6 +11,7 @@ use ig_baselines::selflearn::{SelfLearnConfig, SelfLearner};
 use ig_baselines::snuba::{Snuba, SnubaConfig};
 use ig_baselines::transfer::{fine_tune, pretrain};
 use ig_core::ScaleTier;
+use ig_eval::metrics::task_f1;
 use ig_imaging::GrayImage;
 use ig_synth::spec::DatasetKind;
 use rand::rngs::StdRng;
@@ -95,7 +96,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
                 &mut rng,
             );
             let preds = goggles.label(&test_imgs);
-            f1(num_classes, &test_labels, &preds)
+            task_f1(num_classes, &test_labels, &preds)
         };
 
         for &frac in &fractions {
@@ -138,7 +139,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
                         &mut rng,
                     );
                     let preds = snuba.label(&r.test_features);
-                    f1(num_classes, &test_labels, &preds)
+                    task_f1(num_classes, &test_labels, &preds)
                 })
                 .unwrap_or(0.0);
             scores.push(snuba_f1);
@@ -148,7 +149,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
             // Self-learning CNNs.
             for arch in [CnnArch::MiniVgg, CnnArch::MiniMobileNet] {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x60 ^ dev_size as u64);
-                let mut learner = SelfLearner::train(
+                let learner = SelfLearner::train(
                     arch,
                     &dev_imgs,
                     &dev_labels,
@@ -157,7 +158,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
                     &mut rng,
                 );
                 let preds = learner.label(&test_imgs);
-                scores.push(f1(num_classes, &test_labels, &preds));
+                scores.push(task_f1(num_classes, &test_labels, &preds));
             }
 
             // Transfer learning: SynthNet pre-training, fine-tune on dev.
@@ -186,7 +187,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
                     &pretrain_config,
                     &mut rng,
                 );
-                let mut tuned = fine_tune(
+                let tuned = fine_tune(
                     pre,
                     &dev_imgs,
                     &dev_labels,
@@ -195,7 +196,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
                     &mut rng,
                 );
                 let preds = tuned.label(&test_imgs);
-                scores.push(f1(num_classes, &test_labels, &preds));
+                scores.push(task_f1(num_classes, &test_labels, &preds));
             }
 
             report.line(format!(

@@ -18,13 +18,14 @@
 //! compares across budgets — the verify pass hasn't inflated it yet)
 //! and once at the end.
 
-use crate::common::{f1, ExpEnv, Report};
+use crate::common::{ExpEnv, Report};
 use crate::json::json_record;
 use ig_core::{
     ComputeFeatureShard, DevSet, FeatureGenerator, HealthReport, InspectorGadget, Pattern,
     PatternSource, PipelineConfig, ShardPlan,
 };
 use ig_crowd::CrowdWorkflow;
+use ig_eval::metrics::task_f1;
 use ig_imaging::GrayImage;
 use ig_runtime::infallible;
 use ig_synth::spec::DatasetKind;
@@ -189,7 +190,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     }
     let wall_stream = started.elapsed().as_secs_f64();
     let hwm_stream = vmhwm_kb();
-    let score = f1(num_classes, &gold, &weak);
+    let score = task_f1(num_classes, &gold, &weak);
     report.line(format!(
         "streamed {} images in {wall_stream:.1}s, weak-label F1 {score:.3}, peak RSS {}",
         weak.len(),

@@ -3,12 +3,13 @@
 //! for ImageNet), fine-tune on the target dev set, and report target-test
 //! F1. The paper's finding: generic pre-training wins everywhere.
 
-use crate::common::{f1, ExpEnv, Prepared, Report};
+use crate::common::{ExpEnv, Prepared, Report};
 use crate::json::json_record;
 use ig_baselines::cnn_models::CnnArch;
 use ig_baselines::selflearn::SelfLearnConfig;
 use ig_baselines::transfer::{fine_tune, pretrain};
 use ig_core::ScaleTier;
+use ig_eval::metrics::task_f1;
 use ig_imaging::GrayImage;
 use ig_synth::spec::DatasetKind;
 use rand::rngs::StdRng;
@@ -112,7 +113,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
                 &config,
                 &mut rng,
             );
-            let mut tuned = fine_tune(
+            let tuned = fine_tune(
                 pre,
                 &dev_imgs,
                 &dev_labels,
@@ -121,7 +122,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
                 &mut rng,
             );
             let preds = tuned.label(&test_imgs);
-            let score = f1(target.num_classes(), &test_labels, &preds);
+            let score = task_f1(target.num_classes(), &test_labels, &preds);
             row.push_str(&format!("{score:>20.3}"));
             cells.push(Cell {
                 target: TARGETS[ti].display_name().to_string(),

@@ -3,11 +3,12 @@
 //! the "tipping point" (how much more gold data dev-only needs to catch
 //! up).
 
-use crate::common::{f1, run_inspector_gadget, ExpEnv, Prepared, Report};
+use crate::common::{run_inspector_gadget, ExpEnv, Prepared, Report};
 use crate::json::json_record;
 use ig_augment::AugmentMethod;
 use ig_baselines::cnn_models::CnnArch;
 use ig_baselines::selflearn::{SelfLearnConfig, SelfLearner};
+use ig_eval::metrics::task_f1;
 use ig_imaging::GrayImage;
 use ig_synth::spec::DatasetKind;
 use rand::rngs::StdRng;
@@ -83,9 +84,9 @@ pub fn run(env: &ExpEnv) -> ExitCode {
 
         // 2. Dev-only end model.
         let mut rng = StdRng::seed_from_u64(seed ^ 0x55);
-        let mut dev_only =
+        let dev_only =
             SelfLearner::train(arch, &dev_imgs, &dev_labels, num_classes, &config, &mut rng);
-        let dev_only_f1 = f1(num_classes, &final_labels, &dev_only.label(&final_imgs));
+        let dev_only_f1 = task_f1(num_classes, &final_labels, &dev_only.label(&final_imgs));
 
         // 3. Dev + weak-labels end model.
         let mut train_imgs = dev_imgs.clone();
@@ -95,7 +96,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
             train_labels.push(wl);
         }
         let mut rng = StdRng::seed_from_u64(seed ^ 0x66);
-        let mut with_weak = SelfLearner::train(
+        let with_weak = SelfLearner::train(
             arch,
             &train_imgs,
             &train_labels,
@@ -103,7 +104,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
             &config,
             &mut rng,
         );
-        let weak_f1 = f1(num_classes, &final_labels, &with_weak.label(&final_imgs));
+        let weak_f1 = task_f1(num_classes, &final_labels, &with_weak.label(&final_imgs));
 
         // 4. Tipping point: grow a *gold*-labeled training set (dev plus
         // gold-labeled samples from the weak pool) until it matches the
@@ -121,7 +122,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
                 gold_labels.push(img.label);
             }
             let mut rng = StdRng::seed_from_u64(seed ^ 0x77 ^ (multiplier as u64));
-            let mut grown = SelfLearner::train(
+            let grown = SelfLearner::train(
                 arch,
                 &gold_imgs,
                 &gold_labels,
@@ -129,7 +130,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
                 &config,
                 &mut rng,
             );
-            let grown_f1 = f1(num_classes, &final_labels, &grown.label(&final_imgs));
+            let grown_f1 = task_f1(num_classes, &final_labels, &grown.label(&final_imgs));
             if grown_f1 >= weak_f1 {
                 tipping = Some(multiplier);
                 break;

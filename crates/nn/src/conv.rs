@@ -7,6 +7,14 @@
 //! 2x2 max pooling, global average pooling, residual wrappers and a dense
 //! head, each carrying its own Adam state.
 //!
+//! A layer keeps no state between calls. [`Layer::forward`] takes `&self`
+//! and hands back, with its output, a [`Tape`]: the input it was given
+//! and, for a [`Residual`] block, its inner layers' tapes.
+//! [`Layer::backward`] consumes that tape, recomputing what it needs from
+//! the taped input (ReLU's mask, max pooling's argmax), so it can only
+//! follow the forward pass that made the tape, and inference
+//! ([`Cnn::predict`]) drops each tape as soon as it is made.
+//!
 //! Tensors are NCHW `f32`. Shapes are validated at layer boundaries with
 //! panics (programmer errors), not `Result`s.
 
@@ -111,18 +119,59 @@ impl Param {
     }
 }
 
+/// What a layer's forward pass hands its backward pass: the layer's input
+/// and, for a container such as [`Residual`], the tapes of its inner
+/// layers in order.
+#[derive(Debug)]
+pub struct Tape {
+    input: Tensor4,
+    inner: Vec<Tape>,
+}
+
+impl Tape {
+    fn leaf(input: Tensor4) -> Self {
+        Self {
+            input,
+            inner: Vec::new(),
+        }
+    }
+}
+
 /// A network layer with training state.
 pub trait Layer: std::fmt::Debug {
-    /// Forward pass; `train` retains caches needed by `backward`.
-    fn forward(&mut self, x: &Tensor4, train: bool) -> Tensor4;
-    /// Backward pass given the output gradient; returns the input gradient
-    /// and accumulates parameter gradients internally.
-    fn backward(&mut self, dy: &Tensor4) -> Tensor4;
+    /// Forward pass; returns the output and the tape `backward` consumes.
+    fn forward(&self, x: Tensor4) -> (Tensor4, Tape);
+    /// Backward pass given the tape of the matching forward pass and the
+    /// output gradient; returns the input gradient and accumulates
+    /// parameter gradients internally.
+    fn backward(&mut self, tape: Tape, dy: &Tensor4) -> Tensor4;
     /// Apply one Adam step to the layer's parameters (if any) and clear
     /// the accumulated gradients.
     fn update(&mut self);
     /// Output `(c, h, w)` for a given input shape.
     fn out_shape(&self, input: (usize, usize, usize)) -> (usize, usize, usize);
+}
+
+/// Run `layers` in order on `x`; returns the output and each layer's tape.
+fn run_stack(layers: &[Box<dyn Layer>], x: Tensor4) -> (Tensor4, Vec<Tape>) {
+    let mut tapes = Vec::with_capacity(layers.len());
+    let mut y = x;
+    for layer in layers {
+        let (out, tape) = layer.forward(y);
+        tapes.push(tape);
+        y = out;
+    }
+    (y, tapes)
+}
+
+/// Backpropagate `dy` through `layers` in reverse, consuming the tapes
+/// [`run_stack`] returned for them.
+fn back_stack(layers: &mut [Box<dyn Layer>], tapes: Vec<Tape>, dy: Tensor4) -> Tensor4 {
+    let mut g = dy;
+    for (layer, tape) in layers.iter_mut().zip(tapes).rev() {
+        g = layer.backward(tape, &g);
+    }
+    g
 }
 
 /// Standard 2-D convolution with square kernels.
@@ -136,7 +185,6 @@ pub struct Conv2d {
     // Weights laid out [out_c][in_c][k][k].
     weights: Param,
     bias: Param,
-    cache: Option<Tensor4>,
 }
 
 impl Conv2d {
@@ -163,7 +211,6 @@ impl Conv2d {
             pad,
             weights: Param::new(weights, lr),
             bias: Param::new(vec![0.0; out_c], lr),
-            cache: None,
         }
     }
 
@@ -181,7 +228,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor4, train: bool) -> Tensor4 {
+    fn forward(&self, x: Tensor4) -> (Tensor4, Tape) {
         assert_eq!(x.c, self.in_c, "conv input channel mismatch");
         let (oh, ow) = self.out_hw(x.h, x.w);
         let mut out = Tensor4::zeros(x.n, self.out_c, oh, ow);
@@ -211,16 +258,11 @@ impl Layer for Conv2d {
                 }
             }
         }
-        if train {
-            self.cache = Some(x.clone());
-        }
-        out
+        (out, Tape::leaf(x))
     }
 
-    fn backward(&mut self, dy: &Tensor4) -> Tensor4 {
-        // ig-lint: allow(panic) -- Layer contract: backward is only called
-        // after forward(train=true), which populates the cache
-        let x = self.cache.as_ref().expect("backward before forward(train)");
+    fn backward(&mut self, tape: Tape, dy: &Tensor4) -> Tensor4 {
+        let x = tape.input;
         let mut dx = Tensor4::zeros(x.n, x.c, x.h, x.w);
         for n in 0..x.n {
             for oc in 0..self.out_c {
@@ -281,7 +323,6 @@ pub struct DepthwiseConv2d {
     pad: usize,
     weights: Param, // [channels][k][k]
     bias: Param,
-    cache: Option<Tensor4>,
 }
 
 impl DepthwiseConv2d {
@@ -305,7 +346,6 @@ impl DepthwiseConv2d {
             pad,
             weights: Param::new(weights, lr),
             bias: Param::new(vec![0.0; channels], lr),
-            cache: None,
         }
     }
 
@@ -318,7 +358,7 @@ impl DepthwiseConv2d {
 }
 
 impl Layer for DepthwiseConv2d {
-    fn forward(&mut self, x: &Tensor4, train: bool) -> Tensor4 {
+    fn forward(&self, x: Tensor4) -> (Tensor4, Tape) {
         assert_eq!(x.c, self.channels, "depthwise channel mismatch");
         let (oh, ow) = self.out_hw(x.h, x.w);
         let mut out = Tensor4::zeros(x.n, x.c, oh, ow);
@@ -346,16 +386,11 @@ impl Layer for DepthwiseConv2d {
                 }
             }
         }
-        if train {
-            self.cache = Some(x.clone());
-        }
-        out
+        (out, Tape::leaf(x))
     }
 
-    fn backward(&mut self, dy: &Tensor4) -> Tensor4 {
-        // ig-lint: allow(panic) -- Layer contract: backward is only called
-        // after forward(train=true), which populates the cache
-        let x = self.cache.as_ref().expect("backward before forward(train)");
+    fn backward(&mut self, tape: Tape, dy: &Tensor4) -> Tensor4 {
+        let x = tape.input;
         let mut dx = Tensor4::zeros(x.n, x.c, x.h, x.w);
         for n in 0..x.n {
             for c in 0..x.c {
@@ -404,53 +439,32 @@ impl Layer for DepthwiseConv2d {
 }
 
 /// Elementwise ReLU.
-#[derive(Debug)]
-pub struct ReluLayer {
-    mask: Option<Vec<bool>>,
-}
+#[derive(Debug, Default)]
+pub struct ReluLayer;
 
 impl ReluLayer {
     /// New ReLU layer.
     pub fn new() -> Self {
-        Self { mask: None }
-    }
-}
-
-impl Default for ReluLayer {
-    fn default() -> Self {
-        Self::new()
+        Self
     }
 }
 
 impl Layer for ReluLayer {
-    fn forward(&mut self, x: &Tensor4, train: bool) -> Tensor4 {
+    fn forward(&self, x: Tensor4) -> (Tensor4, Tape) {
         let mut out = x.clone();
-        let mut mask = if train {
-            Vec::with_capacity(x.as_slice().len())
-        } else {
-            Vec::new()
-        };
         for v in out.as_mut_slice() {
             let pos = *v > 0.0;
-            if train {
-                mask.push(pos);
-            }
             if !pos {
                 *v = 0.0;
             }
         }
-        if train {
-            self.mask = Some(mask);
-        }
-        out
+        (out, Tape::leaf(x))
     }
 
-    fn backward(&mut self, dy: &Tensor4) -> Tensor4 {
-        // ig-lint: allow(panic) -- Layer contract: backward follows
-        // forward(train=true), which stores the dropout mask
-        let mask = self.mask.as_ref().expect("backward before forward(train)");
+    fn backward(&mut self, tape: Tape, dy: &Tensor4) -> Tensor4 {
         let mut dx = dy.clone();
-        for (v, &keep) in dx.as_mut_slice().iter_mut().zip(mask) {
+        for (v, &x) in dx.as_mut_slice().iter_mut().zip(tape.input.as_slice()) {
+            let keep = x > 0.0;
             if !keep {
                 *v = 0.0;
             }
@@ -466,82 +480,65 @@ impl Layer for ReluLayer {
 }
 
 /// 2x2 max pooling with stride 2. Odd trailing rows/columns are dropped.
-#[derive(Debug)]
-pub struct MaxPool2 {
-    argmax: Option<Vec<usize>>,
-    in_shape: Option<(usize, usize, usize, usize)>,
-}
+#[derive(Debug, Default)]
+pub struct MaxPool2;
 
 impl MaxPool2 {
     /// New pooling layer.
     pub fn new() -> Self {
-        Self {
-            argmax: None,
-            in_shape: None,
-        }
+        Self
     }
-}
 
-impl Default for MaxPool2 {
-    fn default() -> Self {
-        Self::new()
+    /// The maximum of the window under output cell `(n, c, oy, ox)` and its
+    /// flat index in `x`. The scan keeps the first of equal values, and a
+    /// window with nothing above `-inf` reports index 0.
+    fn window_max(x: &Tensor4, n: usize, c: usize, oy: usize, ox: usize) -> (f32, usize) {
+        let mut best = f32::NEG_INFINITY;
+        let mut best_idx = 0usize;
+        for dy in 0..2 {
+            for dx in 0..2 {
+                let idx = x.idx(n, c, oy * 2 + dy, ox * 2 + dx);
+                let v = x.as_slice()[idx];
+                if v > best {
+                    best = v;
+                    best_idx = idx;
+                }
+            }
+        }
+        (best, best_idx)
     }
 }
 
 impl Layer for MaxPool2 {
-    fn forward(&mut self, x: &Tensor4, train: bool) -> Tensor4 {
+    fn forward(&self, x: Tensor4) -> (Tensor4, Tape) {
         let oh = x.h / 2;
         let ow = x.w / 2;
         assert!(oh > 0 && ow > 0, "max pool on sub-2px map");
         let mut out = Tensor4::zeros(x.n, x.c, oh, ow);
-        let mut argmax = if train {
-            Vec::with_capacity(x.n * x.c * oh * ow)
-        } else {
-            Vec::new()
-        };
         for n in 0..x.n {
             for c in 0..x.c {
                 for oy in 0..oh {
                     for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                let idx = x.idx(n, c, oy * 2 + dy, ox * 2 + dx);
-                                let v = x.as_slice()[idx];
-                                if v > best {
-                                    best = v;
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        out.set(n, c, oy, ox, best);
-                        if train {
-                            argmax.push(best_idx);
-                        }
+                        out.set(n, c, oy, ox, Self::window_max(&x, n, c, oy, ox).0);
                     }
                 }
             }
         }
-        if train {
-            self.argmax = Some(argmax);
-            self.in_shape = Some((x.n, x.c, x.h, x.w));
-        }
-        out
+        (out, Tape::leaf(x))
     }
 
-    fn backward(&mut self, dy: &Tensor4) -> Tensor4 {
-        let argmax = self
-            .argmax
-            .as_ref()
-            // ig-lint: allow(panic) -- Layer contract: backward follows
-            // forward(train=true), which stores the argmax indices
-            .expect("backward before forward(train)");
-        // ig-lint: allow(panic) -- same contract covers the cached shape
-        let (n, c, h, w) = self.in_shape.expect("backward before forward(train)");
-        let mut dx = Tensor4::zeros(n, c, h, w);
-        for (&idx, &g) in argmax.iter().zip(dy.as_slice()) {
-            dx.as_mut_slice()[idx] += g;
+    fn backward(&mut self, tape: Tape, dy: &Tensor4) -> Tensor4 {
+        let x = tape.input;
+        let mut dx = Tensor4::zeros(x.n, x.c, x.h, x.w);
+        for n in 0..x.n {
+            for c in 0..x.c {
+                for oy in 0..x.h / 2 {
+                    for ox in 0..x.w / 2 {
+                        let idx = Self::window_max(&x, n, c, oy, ox).1;
+                        dx.as_mut_slice()[idx] += dy.get(n, c, oy, ox);
+                    }
+                }
+            }
         }
         dx
     }
@@ -555,26 +552,18 @@ impl Layer for MaxPool2 {
 }
 
 /// Global average pooling: `(n, c, h, w)` → `(n, c, 1, 1)`.
-#[derive(Debug)]
-pub struct GlobalAvgPool {
-    in_shape: Option<(usize, usize, usize, usize)>,
-}
+#[derive(Debug, Default)]
+pub struct GlobalAvgPool;
 
 impl GlobalAvgPool {
     /// New GAP layer.
     pub fn new() -> Self {
-        Self { in_shape: None }
-    }
-}
-
-impl Default for GlobalAvgPool {
-    fn default() -> Self {
-        Self::new()
+        Self
     }
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: &Tensor4, train: bool) -> Tensor4 {
+    fn forward(&self, x: Tensor4) -> (Tensor4, Tape) {
         let mut out = Tensor4::zeros(x.n, x.c, 1, 1);
         let area = (x.h * x.w) as f32;
         for n in 0..x.n {
@@ -588,16 +577,11 @@ impl Layer for GlobalAvgPool {
                 out.set(n, c, 0, 0, acc / area);
             }
         }
-        if train {
-            self.in_shape = Some((x.n, x.c, x.h, x.w));
-        }
-        out
+        (out, Tape::leaf(x))
     }
 
-    fn backward(&mut self, dy: &Tensor4) -> Tensor4 {
-        // ig-lint: allow(panic) -- Layer contract: backward follows
-        // forward(train=true), which stores the input shape
-        let (n, c, h, w) = self.in_shape.expect("backward before forward(train)");
+    fn backward(&mut self, tape: Tape, dy: &Tensor4) -> Tensor4 {
+        let (n, c, h, w) = (tape.input.n, tape.input.c, tape.input.h, tape.input.w);
         let mut dx = Tensor4::zeros(n, c, h, w);
         let inv_area = 1.0 / (h * w) as f32;
         for ni in 0..n {
@@ -627,7 +611,6 @@ pub struct DenseLayer {
     out_f: usize,
     weights: Param, // in_f x out_f row-major
     bias: Param,
-    cache: Option<Tensor4>,
 }
 
 impl DenseLayer {
@@ -642,13 +625,12 @@ impl DenseLayer {
             out_f,
             weights: Param::new(weights, lr),
             bias: Param::new(vec![0.0; out_f], lr),
-            cache: None,
         }
     }
 }
 
 impl Layer for DenseLayer {
-    fn forward(&mut self, x: &Tensor4, train: bool) -> Tensor4 {
+    fn forward(&self, x: Tensor4) -> (Tensor4, Tape) {
         let feat = x.c * x.h * x.w;
         assert_eq!(feat, self.in_f, "dense head input size mismatch");
         let mut out = Tensor4::zeros(x.n, self.out_f, 1, 1);
@@ -662,16 +644,11 @@ impl Layer for DenseLayer {
                 out.set(n, o, 0, 0, acc);
             }
         }
-        if train {
-            self.cache = Some(x.clone());
-        }
-        out
+        (out, Tape::leaf(x))
     }
 
-    fn backward(&mut self, dy: &Tensor4) -> Tensor4 {
-        // ig-lint: allow(panic) -- Layer contract: backward is only called
-        // after forward(train=true), which populates the cache
-        let x = self.cache.as_ref().expect("backward before forward(train)");
+    fn backward(&mut self, tape: Tape, dy: &Tensor4) -> Tensor4 {
+        let x = tape.input;
         let feat = self.in_f;
         let mut dx = Tensor4::zeros(x.n, x.c, x.h, x.w);
         for n in 0..x.n {
@@ -717,11 +694,8 @@ impl Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, x: &Tensor4, train: bool) -> Tensor4 {
-        let mut y = x.clone();
-        for layer in &mut self.inner {
-            y = layer.forward(&y, train);
-        }
+    fn forward(&self, x: Tensor4) -> (Tensor4, Tape) {
+        let (mut y, inner) = run_stack(&self.inner, x.clone());
         assert_eq!(
             (y.c, y.h, y.w),
             (x.c, x.h, x.w),
@@ -730,14 +704,11 @@ impl Layer for Residual {
         for (o, &i) in y.as_mut_slice().iter_mut().zip(x.as_slice()) {
             *o += i;
         }
-        y
+        (y, Tape { input: x, inner })
     }
 
-    fn backward(&mut self, dy: &Tensor4) -> Tensor4 {
-        let mut g = dy.clone();
-        for layer in self.inner.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
+    fn backward(&mut self, tape: Tape, dy: &Tensor4) -> Tensor4 {
+        let mut g = back_stack(&mut self.inner, tape.inner, dy.clone());
         for (gi, &dyi) in g.as_mut_slice().iter_mut().zip(dy.as_slice()) {
             *gi += dyi;
         }
@@ -776,24 +747,29 @@ impl Cnn {
         self.num_classes
     }
 
-    /// Forward to logits as a `(n, classes)` matrix.
-    pub fn forward_logits(&mut self, x: &Tensor4, train: bool) -> Matrix {
-        let mut y = x.clone();
-        for layer in &mut self.layers {
-            y = layer.forward(&y, train);
-        }
+    /// The head's output as a `(n, classes)` matrix.
+    fn logits(&self, y: &Tensor4) -> Matrix {
         assert_eq!(y.c * y.h * y.w, self.num_classes, "head output mismatch");
         y.to_matrix()
     }
 
+    /// Forward to logits as a `(n, classes)` matrix.
+    pub fn forward_logits(&self, x: &Tensor4) -> Matrix {
+        let y = self
+            .layers
+            .iter()
+            .fold(x.clone(), |y, layer| layer.forward(y).0);
+        self.logits(&y)
+    }
+
     /// Softmax probabilities per row.
-    pub fn predict_proba(&mut self, x: &Tensor4) -> Matrix {
-        softmax_rows(&self.forward_logits(x, false))
+    pub fn predict_proba(&self, x: &Tensor4) -> Matrix {
+        softmax_rows(&self.forward_logits(x))
     }
 
     /// Argmax class prediction.
-    pub fn predict(&mut self, x: &Tensor4) -> Vec<usize> {
-        let logits = self.forward_logits(x, false);
+    pub fn predict(&self, x: &Tensor4) -> Vec<usize> {
+        let logits = self.forward_logits(x);
         (0..logits.rows())
             .map(|r| {
                 logits
@@ -810,7 +786,8 @@ impl Cnn {
     /// One optimization step on a minibatch; returns the batch loss.
     pub fn train_batch(&mut self, x: &Tensor4, classes: &[usize]) -> f32 {
         assert_eq!(x.n, classes.len(), "batch label count mismatch");
-        let logits = self.forward_logits(x, true);
+        let (y, tapes) = run_stack(&self.layers, x.clone());
+        let logits = self.logits(&y);
         let probs = softmax_rows(&logits);
         let n = x.n as f32;
         let mut loss = 0.0f32;
@@ -825,10 +802,7 @@ impl Cnn {
             }
         }
         let dy = Tensor4::from_vec(x.n, self.num_classes, 1, 1, grad.as_slice().to_vec());
-        let mut g = dy;
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
+        back_stack(&mut self.layers, tapes, dy);
         for layer in &mut self.layers {
             layer.update();
         }
@@ -897,7 +871,7 @@ mod tests {
     #[test]
     fn cnn_predict_proba_rows_are_distributions() {
         let mut rng = StdRng::seed_from_u64(40);
-        let mut cnn = mini_smoke_cnn(&mut rng);
+        let cnn = mini_smoke_cnn(&mut rng);
         let x = tensor_from(3, 1, 8, 8, |i| (i % 9) as f32 * 0.1);
         let p = cnn.predict_proba(&x);
         assert_eq!(p.shape(), (3, 2));
@@ -926,7 +900,7 @@ mod tests {
         conv.weights.value[4] = 1.0;
         conv.bias.value[0] = 0.0;
         let x = tensor_from(1, 1, 5, 5, |i| i as f32 * 0.1);
-        let y = conv.forward(&x, false);
+        let (y, _) = conv.forward(x.clone());
         assert_eq!(y.chw(), (1, 5, 5));
         for (a, b) in x.as_slice().iter().zip(y.as_slice()) {
             assert!((a - b).abs() < 1e-6);
@@ -948,20 +922,20 @@ mod tests {
         let mut conv = Conv2d::new(2, 2, 3, 1, 1, 0.01, &mut rng);
         let x = tensor_from(1, 2, 4, 4, |i| ((i * 7) % 5) as f32 * 0.2 - 0.4);
         // Loss = 0.5 * sum(y^2) → dy = y.
-        let loss_of = |conv: &mut Conv2d, x: &Tensor4| {
-            let y = conv.forward(x, false);
+        let loss_of = |conv: &Conv2d, x: &Tensor4| {
+            let (y, _) = conv.forward(x.clone());
             0.5 * y.as_slice().iter().map(|&v| v * v).sum::<f32>()
         };
-        let y = conv.forward(&x, true);
-        let dx = conv.backward(&y);
+        let (y, tape) = conv.forward(x.clone());
+        let dx = conv.backward(tape, &y);
         let eps = 1e-3f32;
         // Check a few weight gradients.
         for wi in [0usize, 5, 11, 17, 23, 35] {
             let analytic = conv.weights.grad[wi];
             conv.weights.value[wi] += eps;
-            let lp = loss_of(&mut conv, &x);
+            let lp = loss_of(&conv, &x);
             conv.weights.value[wi] -= 2.0 * eps;
-            let lm = loss_of(&mut conv, &x);
+            let lm = loss_of(&conv, &x);
             conv.weights.value[wi] += eps;
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
@@ -974,9 +948,9 @@ mod tests {
             let analytic = dx.as_slice()[xi];
             let mut xp = x.clone();
             xp.as_mut_slice()[xi] += eps;
-            let lp = loss_of(&mut conv, &xp);
+            let lp = loss_of(&conv, &xp);
             xp.as_mut_slice()[xi] -= 2.0 * eps;
-            let lm = loss_of(&mut conv, &xp);
+            let lm = loss_of(&conv, &xp);
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
                 (analytic - numeric).abs() < 2e-2,
@@ -990,19 +964,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut conv = DepthwiseConv2d::new(2, 3, 1, 1, 0.01, &mut rng);
         let x = tensor_from(1, 2, 4, 4, |i| ((i * 3) % 7) as f32 * 0.1 - 0.3);
-        let loss_of = |conv: &mut DepthwiseConv2d, x: &Tensor4| {
-            let y = conv.forward(x, false);
+        let loss_of = |conv: &DepthwiseConv2d, x: &Tensor4| {
+            let (y, _) = conv.forward(x.clone());
             0.5 * y.as_slice().iter().map(|&v| v * v).sum::<f32>()
         };
-        let y = conv.forward(&x, true);
-        let _ = conv.backward(&y);
+        let (y, tape) = conv.forward(x.clone());
+        let _ = conv.backward(tape, &y);
         let eps = 1e-3f32;
         for wi in [0usize, 4, 9, 13, 17] {
             let analytic = conv.weights.grad[wi];
             conv.weights.value[wi] += eps;
-            let lp = loss_of(&mut conv, &x);
+            let lp = loss_of(&conv, &x);
             conv.weights.value[wi] -= 2.0 * eps;
-            let lm = loss_of(&mut conv, &x);
+            let lm = loss_of(&conv, &x);
             conv.weights.value[wi] += eps;
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
@@ -1027,10 +1001,10 @@ mod tests {
             ],
         );
         let mut pool = MaxPool2::new();
-        let y = pool.forward(&x, true);
+        let (y, tape) = pool.forward(x);
         assert_eq!(y.as_slice(), &[4.0, 8.0, 12.0, 16.0]);
         let dy = Tensor4::from_vec(1, 1, 2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let dx = pool.backward(&dy);
+        let dx = pool.backward(tape, &dy);
         // Gradient goes only to the max positions.
         assert_eq!(dx.get(0, 0, 1, 1), 1.0);
         assert_eq!(dx.get(0, 0, 1, 3), 2.0);
@@ -1042,8 +1016,7 @@ mod tests {
     #[test]
     fn maxpool_drops_odd_edges() {
         let x = Tensor4::zeros(1, 1, 5, 7);
-        let mut pool = MaxPool2::new();
-        let y = pool.forward(&x, false);
+        let (y, _) = MaxPool2::new().forward(x);
         assert_eq!((y.h, y.w), (2, 3));
     }
 
@@ -1051,11 +1024,11 @@ mod tests {
     fn gap_averages_and_backprops_uniformly() {
         let x = tensor_from(1, 2, 2, 2, |i| i as f32);
         let mut gap = GlobalAvgPool::new();
-        let y = gap.forward(&x, true);
+        let (y, tape) = gap.forward(x);
         assert!((y.get(0, 0, 0, 0) - 1.5).abs() < 1e-6);
         assert!((y.get(0, 1, 0, 0) - 5.5).abs() < 1e-6);
         let dy = Tensor4::from_vec(1, 2, 1, 1, vec![4.0, 8.0]);
-        let dx = gap.backward(&dy);
+        let dx = gap.backward(tape, &dy);
         assert!(dx.as_slice()[..4].iter().all(|&v| (v - 1.0).abs() < 1e-6));
         assert!(dx.as_slice()[4..].iter().all(|&v| (v - 2.0).abs() < 1e-6));
     }
@@ -1064,10 +1037,10 @@ mod tests {
     fn relu_masks_gradient() {
         let x = Tensor4::from_vec(1, 1, 1, 4, vec![-1.0, 2.0, -3.0, 4.0]);
         let mut relu = ReluLayer::new();
-        let y = relu.forward(&x, true);
+        let (y, tape) = relu.forward(x);
         assert_eq!(y.as_slice(), &[0.0, 2.0, 0.0, 4.0]);
         let dy = Tensor4::from_vec(1, 1, 1, 4, vec![1.0, 1.0, 1.0, 1.0]);
-        let dx = relu.backward(&dy);
+        let dx = relu.backward(tape, &dy);
         assert_eq!(dx.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
@@ -1079,13 +1052,13 @@ mod tests {
         conv.weights.value.iter_mut().for_each(|w| *w = 0.0);
         let mut block = Residual::new(vec![Box::new(conv)]);
         let x = tensor_from(1, 1, 4, 4, |i| i as f32 * 0.1);
-        let y = block.forward(&x, true);
+        let (y, tape) = block.forward(x.clone());
         for (a, b) in x.as_slice().iter().zip(y.as_slice()) {
             assert!((a - b).abs() < 1e-6);
         }
         // Gradient through identity path survives.
         let dy = tensor_from(1, 1, 4, 4, |_| 1.0);
-        let dx = block.backward(&dy);
+        let dx = block.backward(tape, &dy);
         for &v in dx.as_slice() {
             assert!((v - 1.0).abs() < 1e-6);
         }
@@ -1138,12 +1111,12 @@ mod tests {
         ];
         let mut cnn = Cnn::new(layers, 3);
         let x = Tensor4::zeros(1, 1, 6, 6);
-        assert_eq!(cnn.forward_logits(&x, false).cols(), 3);
+        assert_eq!(cnn.forward_logits(&x).cols(), 3);
         let mut rng2 = StdRng::seed_from_u64(7);
         cnn.reset_tail(1, || {
             vec![Box::new(DenseLayer::new(2, 5, 0.01, &mut rng2)) as Box<dyn Layer>]
         });
         cnn.set_num_classes(5);
-        assert_eq!(cnn.forward_logits(&x, false).cols(), 5);
+        assert_eq!(cnn.forward_logits(&x).cols(), 5);
     }
 }

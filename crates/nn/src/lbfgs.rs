@@ -270,37 +270,31 @@ pub fn minimize_robust(
             *v = 0.0;
         }
     }
-    let mut last = None;
-    for attempt in 0..=restart.max_restarts {
-        let start = if attempt == 0 {
-            base.clone()
-        } else {
-            let scale = restart.jitter * (1u32 << (attempt - 1).min(16)) as f32;
-            base.iter()
-                .enumerate()
-                .map(|(i, &v)| {
-                    let h = splitmix64(restart.seed ^ (attempt as u64) << 32 ^ i as u64);
-                    let unit = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                    v + (unit as f32 * 2.0 - 1.0) * scale
-                })
-                .collect()
-        };
-        let result = minimize(&mut f, start, config);
-        if !result.diverged {
-            return (result, attempt);
-        }
-        last = Some(result);
+    let mut result = minimize(&mut f, base.clone(), config);
+    let mut attempt = 0;
+    while result.diverged && attempt < restart.max_restarts {
+        attempt += 1;
+        let scale = restart.jitter * (1u32 << (attempt - 1).min(16)) as f32;
+        let start = base
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let h = splitmix64(restart.seed ^ (attempt as u64) << 32 ^ i as u64);
+                let unit = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                v + (unit as f32 * 2.0 - 1.0) * scale
+            })
+            .collect();
+        result = minimize(&mut f, start, config);
     }
-    // ig-lint: allow(panic) -- the attempt loop above runs at least once
-    // (restarts+1 iterations), so `last` is always populated here
-    let mut result = last.expect("at least one attempt runs");
-    // Divergence already forces finite parameters; scrub defensively anyway.
-    for v in &mut result.x {
-        if !v.is_finite() {
-            *v = 0.0;
+    if result.diverged {
+        // Divergence already forces finite parameters; scrub defensively anyway.
+        for v in &mut result.x {
+            if !v.is_finite() {
+                *v = 0.0;
+            }
         }
     }
-    (result, restart.max_restarts)
+    (result, attempt)
 }
 
 #[cfg(test)]

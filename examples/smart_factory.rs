@@ -10,8 +10,8 @@
 
 use inspector_gadget::augment::gan::RganConfig;
 use inspector_gadget::baselines::cnn_models::CnnArch;
-use inspector_gadget::baselines::endmodel::{score_f1, train_and_score};
-use inspector_gadget::baselines::selflearn::SelfLearnConfig;
+use inspector_gadget::baselines::selflearn::{SelfLearnConfig, SelfLearner};
+use inspector_gadget::eval::metrics::task_f1;
 use inspector_gadget::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,7 +113,7 @@ fn main() {
     let gold: Vec<usize> = rest.iter().map(|l| l.label).collect();
     println!(
         "[weak labels] F1 = {:.3} over {} images",
-        score_f1(2, &gold, &weak.labels),
+        task_f1(2, &gold, &weak.labels),
         rest.len()
     );
 
@@ -126,33 +126,19 @@ fn main() {
     };
     let test_imgs: Vec<&GrayImage> = rest_images[half..].to_vec();
     let test_gold: Vec<usize> = gold[half..].to_vec();
+    let end_model_f1 = |images: &[&GrayImage], labels: &[usize], rng: &mut StdRng| {
+        let model = SelfLearner::train(CnnArch::MiniVgg, images, labels, 2, &cnn_config, rng);
+        task_f1(2, &test_gold, &model.label(&test_imgs))
+    };
 
-    let dev_only = train_and_score(
-        CnnArch::MiniVgg,
-        &dev_images,
-        &dev_labels,
-        &test_imgs,
-        &test_gold,
-        2,
-        &cnn_config,
-        &mut rng,
-    );
+    let dev_only = end_model_f1(&dev_images, &dev_labels, &mut rng);
     let mut train_imgs = dev_images.clone();
     let mut train_labels = dev_labels.clone();
     for (img, &wl) in rest_images[..half].iter().zip(&weak.labels[..half]) {
         train_imgs.push(img);
         train_labels.push(wl);
     }
-    let with_weak = train_and_score(
-        CnnArch::MiniVgg,
-        &train_imgs,
-        &train_labels,
-        &test_imgs,
-        &test_gold,
-        2,
-        &cnn_config,
-        &mut rng,
-    );
+    let with_weak = end_model_f1(&train_imgs, &train_labels, &mut rng);
     println!(
         "[end model] MiniVGG F1: dev-only {dev_only:.3} vs dev+weak {with_weak:.3} \
          (the Table 5 comparison)"

@@ -85,7 +85,7 @@ fn self_learning_baselines_run_on_all_architectures() {
         CnnArch::MiniResNet,
     ] {
         let mut rng = StdRng::seed_from_u64(13);
-        let mut learner = SelfLearner::train(arch, &dev_imgs, &dev_labels, 2, &config, &mut rng);
+        let learner = SelfLearner::train(arch, &dev_imgs, &dev_labels, 2, &config, &mut rng);
         let preds = learner.label(&rest);
         assert_eq!(preds.len(), rest.len(), "{arch:?}");
     }
@@ -114,7 +114,7 @@ fn transfer_pipeline_synthnet_to_defects() {
     let dev: Vec<&LabeledImage> = dataset.images.iter().take(16).collect();
     let dev_imgs: Vec<&GrayImage> = dev.iter().map(|l| &l.image).collect();
     let dev_labels: Vec<usize> = dev.iter().map(|l| l.label).collect();
-    let mut tuned = fine_tune(pre, &dev_imgs, &dev_labels, 2, &config, &mut rng);
+    let tuned = fine_tune(pre, &dev_imgs, &dev_labels, 2, &config, &mut rng);
     let rest: Vec<&GrayImage> = dataset.images[16..].iter().map(|l| &l.image).collect();
     let preds = tuned.label(&rest);
     assert_eq!(preds.len(), rest.len());
