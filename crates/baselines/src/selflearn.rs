@@ -76,14 +76,9 @@ impl SelfLearner {
         &mut self.cnn
     }
 
-    /// Consume into the inner CNN.
-    pub fn into_cnn(self) -> Cnn {
-        self.cnn
-    }
-
-    /// Wrap an already-trained CNN (used by the transfer baseline).
-    pub fn from_cnn(cnn: Cnn, side: usize, arch: CnnArch) -> Self {
-        Self { cnn, side, arch }
+    /// The inner CNN, for callers that only run it.
+    pub fn cnn(&self) -> &Cnn {
+        &self.cnn
     }
 
     /// Label a batch of images.
@@ -122,6 +117,11 @@ pub fn fit_cnn(
     let n_val = if n >= 10 { n / 5 } else { 0 };
     let (val_idx, train_idx) = order.split_at(n_val);
 
+    // The validation split never changes, so it is copied out once.
+    let val = (!val_idx.is_empty()).then(|| {
+        let val_labels: Vec<usize> = val_idx.iter().map(|&i| labels[i]).collect();
+        (select_tensor(&tensor, val_idx, config.side), val_labels)
+    });
     let mut stopper = EarlyStopping::new(config.patience, 1e-4);
     let mut train_order: Vec<usize> = train_idx.to_vec();
     for _epoch in 0..config.epochs {
@@ -131,10 +131,8 @@ pub fn fit_cnn(
             let batch_labels: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
             cnn.train_batch(&batch, &batch_labels);
         }
-        if !val_idx.is_empty() {
-            let val = select_tensor(&tensor, val_idx, config.side);
-            let val_labels: Vec<usize> = val_idx.iter().map(|&i| labels[i]).collect();
-            let loss = validation_loss(cnn, &val, &val_labels);
+        if let Some((val, val_labels)) = &val {
+            let loss = validation_loss(cnn, val, val_labels);
             if stopper.observe(loss) {
                 break;
             }

@@ -80,11 +80,11 @@ fn config() -> SelfLearnConfig {
     }
 }
 
-fn fingerprint(learner: &mut SelfLearner, held_out: &[GrayImage], rng: &mut StdRng) -> u64 {
+fn fingerprint(learner: &SelfLearner, held_out: &[GrayImage], rng: &mut StdRng) -> u64 {
     let refs: Vec<&GrayImage> = held_out.iter().collect();
     let x = images_to_tensor(&refs, config().side);
     let mut h = Fnv::new();
-    h.f32s(learner.cnn_mut().predict_proba(&x).as_slice());
+    h.f32s(learner.cnn().predict_proba(&x).as_slice());
     h.u64(rng.gen::<u64>());
     h.0
 }
@@ -93,8 +93,8 @@ fn train_fingerprint(arch: CnnArch, classes: usize, seed: u64) -> u64 {
     let (images, labels) = task(30, classes, true, seed);
     let refs: Vec<&GrayImage> = images[..24].iter().collect();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut learner = SelfLearner::train(arch, &refs, &labels[..24], classes, &config(), &mut rng);
-    fingerprint(&mut learner, &images[24..], &mut rng)
+    let learner = SelfLearner::train(arch, &refs, &labels[..24], classes, &config(), &mut rng);
+    fingerprint(&learner, &images[24..], &mut rng)
 }
 
 fn transfer_fingerprint(seed: u64) -> u64 {
@@ -111,7 +111,7 @@ fn transfer_fingerprint(seed: u64) -> u64 {
         &config(),
         &mut rng,
     );
-    let mut tuned = fine_tune(
+    let tuned = fine_tune(
         pre,
         &target_refs,
         &target_labels[..15],
@@ -119,7 +119,7 @@ fn transfer_fingerprint(seed: u64) -> u64 {
         &config(),
         &mut rng,
     );
-    fingerprint(&mut tuned, &target[15..], &mut rng)
+    fingerprint(&tuned, &target[15..], &mut rng)
 }
 
 /// Every fingerprint the test pins, by name, in a fixed order.

@@ -127,22 +127,18 @@ impl InspectorGadget {
     ///
     /// An empty plan changes nothing about training.
     ///
-    /// The dev set may be raw or prepared once with
+    /// The dev set may be raw or prepared with
     /// [`FeatureGenerator::prepare_images`]; both give bit-identical
-    /// features, so a second generator (or ablation arm) trained on the
-    /// same prepared set skips the image-preparation work.
+    /// features. A raw set keeps only about `threads + 1` images prepared
+    /// at once, so its working set does not grow with the set.
     ///
     /// Under a context whose artifact store already holds this pattern
     /// bank's generator or this dev set's features (e.g. a second
     /// experiment arm), those stages are served bit-identically from
-    /// cache instead of recomputing.
-    ///
-    /// Under a budgeted scale plan (`ctx.scale().memory_budget_bytes > 0`,
-    /// i.e. the `ooc` tier), a prepared dev set streams through
-    /// [`ComputeFeatureShard`] in budget-sized slices instead of one
-    /// whole-batch shard; the resulting matrix is bit-identical either
-    /// way, but each shard memoizes, persists, and crash-resumes
-    /// independently.
+    /// cache instead of recomputing. The dev matrix is one
+    /// [`ComputeFeatureShard`] over the whole set under any scale plan:
+    /// a memory budget shards only the out-of-core stream that callers
+    /// drive themselves.
     pub fn train_in(
         ctx: &RunContext,
         patterns: Vec<Pattern>,
@@ -156,7 +152,7 @@ impl InspectorGadget {
         let mut build = BuildFeatureGen::new(patterns, config, &health, ctx);
         let bank_fp = build.bank_fp();
         let feature_gen = ctx.run(&mut build)?;
-        let features = features_in_shards(ctx, bank_fp, &feature_gen, dev, ctx.plan(), &health);
+        let features = batch_features(ctx, bank_fp, &feature_gen, dev, ctx.plan(), &health);
         let (labeler, tuning_report) = train_labeler(
             ctx,
             &features,
@@ -210,8 +206,7 @@ impl InspectorGadget {
     /// in [`RunContext::health`], as training's do.
     pub fn features_in(&self, ctx: &RunContext, images: DevSet<'_>) -> Arc<Matrix> {
         let health = HealthReport::new();
-        let features =
-            features_in_shards(ctx, self.bank_fp, &self.feature_gen, images, None, &health);
+        let features = batch_features(ctx, self.bank_fp, &self.feature_gen, images, None, &health);
         ctx.health().merge(&health);
         features
     }
@@ -220,7 +215,7 @@ impl InspectorGadget {
     /// [`InspectorGadget::train_in`]: the feature matrix memoizes in
     /// `ctx`'s store (see [`InspectorGadget::features_in`]), so several
     /// models trained from one bank label a shared batch with one
-    /// matching pass, and a prepared batch skips the image preparation.
+    /// matching pass.
     pub fn label_in(&self, ctx: &RunContext, images: DevSet<'_>) -> WeakLabelOutput {
         let features = self.features_in(ctx, images);
         self.label_from_features(&features)
@@ -250,14 +245,10 @@ impl InspectorGadget {
 }
 
 /// The feature matrix of `images` under `generator` (built from
-/// `bank_fp`), through [`ComputeFeatureShard`]. A prepared batch under a
-/// budgeted scale plan streams in budget-sized shards; any other batch is
-/// the single shard `0..n`. Row coordinates stay global inside each
-/// shard, so the concatenation in shard order is bit-identical to a
-/// whole-batch matrix under any fault plan — while each shard memoizes
-/// (and persists) independently, so a resumed or concurrent sweep
-/// recomputes only the shards its store is missing.
-fn features_in_shards(
+/// `bank_fp`): one [`ComputeFeatureShard`] run over the single shard
+/// `0..n`, memoized (and, when clean, persisted) in `ctx`'s store, so a
+/// second arm or a resumed sweep over the same batch reads it back.
+fn batch_features(
     ctx: &RunContext,
     bank_fp: Fingerprint,
     generator: &FeatureGenerator,
@@ -265,30 +256,10 @@ fn features_in_shards(
     plan: Option<&FaultPlan>,
     health: &HealthReport,
 ) -> Arc<Matrix> {
-    let shard_plan = match images {
-        DevSet::Prepared(prepared) => {
-            let total_bytes = prepared.iter().map(|i| i.approx_bytes() as u64).sum();
-            ShardPlan::for_budget(prepared.len(), total_bytes, ctx.scale().memory_budget_bytes)
-        }
-        // A raw batch is one shard even under a budget: the engine keeps
-        // only about `threads + 1` of its images prepared at once, so its
-        // working set does not grow with the batch.
-        DevSet::Raw(_) => ShardPlan::single(images.len()),
-    };
-    let cols = generator.num_features();
-    let mut data = Vec::with_capacity(images.len() * cols);
-    for shard in shard_plan.shards() {
-        let rows = infallible(ctx.run(&mut ComputeFeatureShard::over(
-            bank_fp,
-            generator,
-            images.slice(shard.start..shard.end),
-            shard,
-            plan,
-            health,
-        )));
-        data.extend_from_slice(rows.as_slice());
-    }
-    Arc::new(Matrix::from_vec(images.len(), cols, data))
+    let whole = ShardPlan::single(images.len()).shard(0);
+    infallible(ctx.run(&mut ComputeFeatureShard::over(
+        bank_fp, generator, images, whole, plan, health,
+    )))
 }
 
 /// Tune (or fit fixed) and train the labeler on the dev feature matrix:

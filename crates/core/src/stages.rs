@@ -16,7 +16,6 @@ use ig_nn::Matrix;
 use ig_runtime::{
     Durable, Fingerprint, FingerprintHasher, Fingerprintable, RunContext, ShardSpec, Stage,
 };
-use std::ops::Range;
 
 use crate::features::{FeatureGenerator, MatchBackend};
 use crate::pattern::{Pattern, PatternSource};
@@ -36,11 +35,12 @@ impl Fingerprintable for Pattern {
 
 /// A development (or any labeling) batch in either representation.
 ///
-/// Raw images are prepared on the fly by the matching engine; prepared
-/// images carry their pyramid/integral caches. The two produce
+/// Raw images are prepared on the fly by the matching engine, which keeps
+/// only about `threads + 1` of them prepared at once; prepared images
+/// carry their pyramid/integral caches, for a caller that streams its
+/// own shards and builds each shard's caches itself. The two produce
 /// bit-identical feature matrices (pinned by
-/// `prepared_dev_set_matches_raw_dev_set`), so which one flows in is
-/// purely a performance choice.
+/// `prepared_dev_set_matches_raw_dev_set`).
 #[derive(Debug, Clone, Copy)]
 pub enum DevSet<'a> {
     /// Plain images.
@@ -49,7 +49,7 @@ pub enum DevSet<'a> {
     Prepared(&'a [PreparedImage]),
 }
 
-impl<'a> DevSet<'a> {
+impl DevSet<'_> {
     /// Number of images in the batch.
     pub fn len(&self) -> usize {
         match self {
@@ -61,14 +61,6 @@ impl<'a> DevSet<'a> {
     /// True when the batch is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The images at `range`, in the same representation.
-    pub fn slice(&self, range: Range<usize>) -> DevSet<'a> {
-        match *self {
-            DevSet::Raw(images) => DevSet::Raw(&images[range]),
-            DevSet::Prepared(images) => DevSet::Prepared(&images[range]),
-        }
     }
 }
 
@@ -181,13 +173,14 @@ impl Stage for BuildFeatureGen<'_> {
 /// Run the matching engine over one shard of a batch: one similarity
 /// feature per (image, pattern) for the shard's rows of the matrix.
 ///
-/// This is the one feature-matrix stage. A whole batch, raw or prepared,
-/// is the single shard `0..n`; the out-of-core tier streams a prepared
-/// batch through it one budget-sized shard at a time, dropping each
-/// shard's prepared caches once its rows are written. Row coordinates
-/// stay global — the engine's fault ladder is offset by `shard.start` —
-/// so concatenating every shard's rows in index order reproduces the
-/// whole-batch matrix bit-identically under any fault plan.
+/// This is the one feature-matrix stage. Training and labeling run a
+/// whole batch, raw or prepared, as the single shard `0..n`; the
+/// out-of-core stream runs it once per budget-sized shard, preparing each
+/// shard's images itself and dropping their caches once its rows are
+/// written. Row coordinates stay global — the engine's fault ladder is
+/// offset by `shard.start` — so concatenating every shard's rows in index
+/// order reproduces the whole-batch matrix bit-identically under any
+/// fault plan.
 ///
 /// The fault plan is an explicit field rather than being read from the
 /// context, because training injects into the dev matrix while labeling
@@ -382,7 +375,5 @@ mod tests {
         assert!(!raw.is_empty());
         let prepared: Vec<PreparedImage> = Vec::new();
         assert!(DevSet::Prepared(&prepared).is_empty());
-        assert!(raw.slice(1..1).is_empty());
-        assert_eq!(raw.slice(0..1).len(), 1);
     }
 }

@@ -1,12 +1,12 @@
 //! Out-of-core sharded feature computation: the `ooc` tier's central
-//! claim is that streaming the dev set through [`ComputeFeatureShard`]
-//! in budget-sized slices is *bit-identical* to the whole-batch matrix —
+//! claim is that streaming a batch through [`ComputeFeatureShard`] in
+//! budget-sized slices is *bit-identical* to the whole-batch matrix —
 //! under any shard count and any fault plan — while each shard memoizes
 //! and crash-resumes independently through the durable store.
 
 use std::sync::Arc;
 
-use ig_check::{ensure_eq, properties};
+use ig_check::{ensure, ensure_eq, properties};
 use ig_core::{
     ComputeFeatureShard, DevSet, FaultPlan, FeatureGenerator, HealthReport, InspectorGadget,
     Pattern, PipelineConfig, RunContext, ScalePlan, ShardPlan,
@@ -50,8 +50,8 @@ fn build_generator(patterns: Vec<Pattern>, health: &HealthReport) -> FeatureGene
 }
 
 /// Stream `prepared` through [`ComputeFeatureShard`] under `ctx` and
-/// concatenate the row blocks — the same loop `train_in` runs in ooc
-/// mode, exposed here so tests can drive arbitrary shard counts.
+/// concatenate the row blocks — the loop the `ooc` driver and perfbench's
+/// stream run, here with an arbitrary shard count.
 fn sharded_matrix(
     ctx: &RunContext,
     generator: &FeatureGenerator,
@@ -109,11 +109,49 @@ properties! {
         ensure_eq!(streamed.as_slice(), whole.as_slice());
         ensure_eq!((streamed.rows(), streamed.cols()), (whole.rows(), whole.cols()));
     }
+
+    /// A feature shard's key covers every pixel of its images: the same
+    /// pixels are served from the store, and one changed pixel misses and
+    /// recomputes.
+    fn shard_key_tracks_every_pixel(g) {
+        let w = g.gen_range(8usize..16);
+        let h = g.gen_range(8usize..16);
+        let px = g.gen::<usize>();
+        let mut rng = StdRng::seed_from_u64(g.gen::<u64>());
+        let image = GrayImage::from_fn(w, h, |_, _| rng.gen_range(0.0f32..1.0));
+        let health = HealthReport::new();
+        // The fixture's dark-square bank; no images are needed.
+        let generator = build_generator(make_task(0, 0).0, &health);
+        let bank = generator.patterns().fingerprint();
+        let whole = ShardPlan::single(1).shard(0);
+        let ctx = RunContext::new(1);
+        let features = |image: &GrayImage| {
+            let batch = [image];
+            infallible(ctx.run(&mut ComputeFeatureShard::over(
+                bank,
+                &generator,
+                DevSet::Raw(&batch),
+                whole,
+                None,
+                &health,
+            )))
+        };
+        let first = features(&image);
+        ensure!(Arc::ptr_eq(&first, &features(&image)), "same pixels must hit");
+
+        let mut perturbed = image.clone();
+        let i = px % (w * h);
+        let old = perturbed.pixels()[i];
+        perturbed.pixels_mut()[i] = if old > 0.5 { old - 0.5 } else { old + 0.5 };
+        features(&perturbed);
+        ensure_eq!(ctx.store().misses(), 2, "a changed pixel must change the key");
+    }
 }
 
-/// Training under the `ooc` tier (budget far below the prepared set)
-/// produces the same dev features, labels, and probabilities as
-/// monolithic prepared training.
+/// Training under the `ooc` tier (budget far below the dev set's
+/// prepared footprint) produces the same dev features, labels, and
+/// probabilities as training without a budget: a budget moves no
+/// training bit.
 #[test]
 fn ooc_training_matches_monolithic_training() {
     let (patterns, images, labels) = make_task(40, 7);
@@ -122,45 +160,29 @@ fn ooc_training_matches_monolithic_training() {
         tune: false,
         ..Default::default()
     };
-
-    let mut rng_a = StdRng::seed_from_u64(9);
-    let mono = InspectorGadget::train_in(
-        &RunContext::new(0),
-        patterns.clone(),
-        DevSet::Prepared(&prepare(&patterns, &refs)),
-        &labels,
-        2,
-        &config,
-        &mut rng_a,
-    )
-    .expect("monolithic training");
-
-    // 64 KiB is far below the prepared set's footprint, so the ooc
-    // context genuinely streams in multiple shards.
+    let train = |ctx: &RunContext| {
+        let mut rng = StdRng::seed_from_u64(9);
+        InspectorGadget::train_in(
+            ctx,
+            patterns.clone(),
+            DevSet::Raw(&refs),
+            &labels,
+            2,
+            &config,
+            &mut rng,
+        )
+        .expect("training")
+    };
+    let mono = train(&RunContext::new(0));
     let scale = ScalePlan::ooc().with_memory_budget(64 << 10);
-    let ctx = RunContext::new(0).with_scale(scale);
-    let mut rng_b = StdRng::seed_from_u64(9);
-    let prepared = prepare(&patterns, &refs);
-    let ooc = InspectorGadget::train_in(
-        &ctx,
-        patterns,
-        DevSet::Prepared(&prepared),
-        &labels,
-        2,
-        &config,
-        &mut rng_b,
-    )
-    .expect("ooc training");
+    let ooc = train(&RunContext::new(0).with_scale(scale));
 
     assert_eq!(
         mono.dev_features().as_slice(),
         ooc.dev_features().as_slice(),
-        "sharded dev matrix must be bit-identical"
+        "dev matrix must be bit-identical"
     );
-    let label = |ig: &InspectorGadget| {
-        ig.label_from_features(&ig.feature_generator().feature_matrix_prepared(&prepared))
-    };
-    let (out_a, out_b) = (label(&mono), label(&ooc));
+    let (out_a, out_b) = (mono.label(&refs), ooc.label(&refs));
     assert_eq!(out_a.labels, out_b.labels);
     assert_eq!(
         out_a.probabilities.as_slice(),
@@ -168,43 +190,26 @@ fn ooc_training_matches_monolithic_training() {
     );
 }
 
-/// Prepare `refs` under a throwaway generator built from `patterns` —
-/// fresh caches each time, so shard budgeting sees a pristine set.
-fn prepare(patterns: &[Pattern], refs: &[&GrayImage]) -> Vec<PreparedImage> {
-    let health = HealthReport::new();
-    build_generator(patterns.to_vec(), &health).prepare_images(refs)
-}
-
-/// A sweep killed mid-stream resumes from its completed shards: the
-/// artifacts it persisted are loaded back instead of recomputed, and
-/// only the missing shards run.
+/// A stream killed mid-sweep resumes from its completed shards: the
+/// artifacts it persisted are loaded back instead of recomputed, only
+/// the missing shards run, and the resumed matrix is bit-identical to
+/// the whole-batch one.
 #[test]
 fn crash_resume_reuses_completed_shard_artifacts() {
-    let (patterns, images, labels) = make_task(24, 11);
+    let (patterns, images, _) = make_task(24, 11);
     let refs: Vec<&GrayImage> = images.iter().collect();
-    let config = PipelineConfig {
-        tune: false,
-        ..Default::default()
-    };
     let dir = std::env::temp_dir().join(format!("ig-shard-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let scale = ScalePlan::ooc().with_memory_budget(64 << 10);
+    let health = HealthReport::new();
+    let generator = build_generator(patterns, &health);
+    let prepared = generator.prepare_images(&refs);
+    let count = 6;
 
     // First process: compute only the first two shards, then "crash".
-    let health = HealthReport::new();
-    let generator = build_generator(patterns.clone(), &health);
-    let prepared = prepare(&patterns, &refs);
-    let total_bytes: u64 = prepared.iter().map(|i| i.approx_bytes() as u64).sum();
-    let shard_plan = ShardPlan::for_budget(prepared.len(), total_bytes, scale.memory_budget_bytes);
-    assert!(shard_plan.count > 2, "fixture must yield several shards");
     let disk_a = Arc::new(DiskStore::open(&dir).expect("open store"));
-    let ctx_a = RunContext::new(0)
-        .with_scale(scale)
-        .with_disk(disk_a.clone());
-    // The same key `train_in` will derive, so the resumed run below
-    // finds these artifacts.
-    let bank = ig_core::stages::bank_fingerprint(&patterns, &config, &ctx_a);
-    for shard in &shard_plan.shards()[..2] {
+    let ctx_a = RunContext::new(0).with_disk(disk_a.clone());
+    let bank = generator.patterns().fingerprint();
+    for shard in &ShardPlan::with_count(prepared.len(), count).shards()[..2] {
         infallible(ctx_a.run(&mut ComputeFeatureShard::new(
             bank,
             &generator,
@@ -217,23 +222,10 @@ fn crash_resume_reuses_completed_shard_artifacts() {
     assert_eq!(disk_a.stats().writes, 2, "two shard artifacts persisted");
     drop(ctx_a);
 
-    // Second process: full ooc training over the same store root.
+    // Second process: the whole stream over the same store root.
     let disk_b = Arc::new(DiskStore::open(&dir).expect("reopen store"));
-    let ctx_b = RunContext::new(0)
-        .with_scale(scale)
-        .with_disk(disk_b.clone());
-    let prepared_b = prepare(&patterns, &refs);
-    let mut rng = StdRng::seed_from_u64(13);
-    let ooc = InspectorGadget::train_in(
-        &ctx_b,
-        patterns.clone(),
-        DevSet::Prepared(&prepared_b),
-        &labels,
-        2,
-        &config,
-        &mut rng,
-    )
-    .expect("resumed training");
+    let ctx_b = RunContext::new(0).with_disk(disk_b.clone());
+    let resumed = sharded_matrix(&ctx_b, &generator, &prepared, count, None, &health);
 
     let stats = disk_b.stats();
     assert_eq!(
@@ -242,25 +234,13 @@ fn crash_resume_reuses_completed_shard_artifacts() {
     );
     assert_eq!(
         stats.writes,
-        (shard_plan.count - 2) as u64,
+        (count - 2) as u64,
         "only the missing shards are computed and persisted"
     );
-
-    // And the resumed result is still bit-identical to monolithic.
-    let mut rng_mono = StdRng::seed_from_u64(13);
-    let mono = InspectorGadget::train_in(
-        &RunContext::new(0),
-        patterns,
-        DevSet::Prepared(&prepared_b),
-        &labels,
-        2,
-        &config,
-        &mut rng_mono,
-    )
-    .expect("monolithic training");
     assert_eq!(
-        mono.dev_features().as_slice(),
-        ooc.dev_features().as_slice()
+        resumed.as_slice(),
+        generator.feature_matrix(&refs).as_slice(),
+        "the resumed stream is bit-identical to the whole batch"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

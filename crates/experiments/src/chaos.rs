@@ -224,8 +224,8 @@ fn chaos_crew() -> CrowdWorkflow {
 /// whose crowd output is empty cannot train at all: that is recorded as an
 /// unrecovered event on both `health` and the context's report. Training
 /// runs through the stage graph ([`InspectorGadget::train_in`]), so the
-/// recovery ladders execute inside the runtime and the test-image
-/// matching caches come from the shared artifact store.
+/// recovery ladders execute inside the runtime and the test features
+/// memoize in the shared artifact store.
 fn run_arm(
     ctx: &RunContext,
     prepared: &Prepared,
@@ -286,7 +286,7 @@ fn run_arm(
     )
     .ok()?;
     health.absorb(&ig.health);
-    let out = ig.label_in(ctx, DevSet::Prepared(&prepared.test_prepared(ctx)));
+    let out = ig.label_in(ctx, DevSet::Raw(&prepared.test_batch()));
     let score = task_f1(prepared.num_classes(), &prepared.test_labels(), &out.labels);
     Some(score)
 }

@@ -2,11 +2,11 @@
 //!
 //! Every driver runs under one [`ExpEnv`]: a [`RunContext`] carrying the
 //! seed, the [`ScalePlan`] and the run-wide artifact store, plus the
-//! output directory. Dataset generation and per-image matching-cache
-//! preparation go through the runtime's stages, so an `all` run (or a
-//! multi-arm driver) generates each dataset and pyramids each image
-//! exactly once — the memoization that the per-driver `OnceLock` caches
-//! used to approximate locally now lives in the shared store.
+//! output directory. Dataset generation and feature matrices go through
+//! the runtime's stages, so an `all` run (or a multi-arm driver)
+//! generates each dataset once and matches a pattern bank against a
+//! batch once. Images are passed raw: the matching engine keeps only a
+//! few of them prepared at a time.
 
 use crate::json::ToJson;
 use ig_augment::policy::{Policy, PolicyOp};
@@ -17,9 +17,8 @@ use ig_core::{
 };
 use ig_crowd::{sample_dev_set, CrowdWorkflow};
 use ig_eval::metrics::task_f1;
-use ig_imaging::prepared::PreparedImage;
 use ig_nn::Matrix;
-use ig_runtime::{infallible, GenerateDataset, PrepareImages};
+use ig_runtime::{infallible, GenerateDataset};
 use ig_synth::spec::DatasetKind;
 use ig_synth::{Dataset, LabeledImage, TaskType};
 use rand::rngs::StdRng;
@@ -104,27 +103,6 @@ impl Prepared {
         }
     }
 
-    fn prepare(&self, ctx: &RunContext, indices: &[usize]) -> Arc<Vec<PreparedImage>> {
-        let images: Vec<&ig_imaging::GrayImage> = indices
-            .iter()
-            .map(|&i| &self.dataset.images[i].image)
-            .collect();
-        infallible(ctx.run(&mut PrepareImages::new(images)))
-    }
-
-    /// Prepared forms (pyramid + integral tables) of the full dev set in
-    /// annotation order, memoized in the context's artifact store: every
-    /// arm that scores this dataset shares one build.
-    pub fn dev_prepared(&self, ctx: &RunContext) -> Arc<Vec<PreparedImage>> {
-        self.prepare(ctx, &self.dev_order)
-    }
-
-    /// Prepared forms of the test images, memoized like
-    /// [`Prepared::dev_prepared`].
-    pub fn test_prepared(&self, ctx: &RunContext) -> Arc<Vec<PreparedImage>> {
-        self.prepare(ctx, &self.test_indices)
-    }
-
     /// Number of classes of the task.
     pub fn num_classes(&self) -> usize {
         self.dataset.task.num_classes()
@@ -152,6 +130,14 @@ impl Prepared {
         self.test_indices
             .iter()
             .map(|&i| &self.dataset.images[i])
+            .collect()
+    }
+
+    /// Test images without their labels: the batch the weak labels score.
+    pub fn test_batch(&self) -> Vec<&ig_imaging::GrayImage> {
+        self.test_indices
+            .iter()
+            .map(|&i| &self.dataset.images[i].image)
             .collect()
     }
 
@@ -336,38 +322,17 @@ pub fn run_ig_with_patterns(
         tune,
         ..Default::default()
     };
-    // Every driver passes a prefix of the annotation order, which lets
-    // the store-backed prepared-image artifact serve the training batch;
-    // an arbitrary dev slice falls back to raw images.
-    let dev_is_prefix = dev.len() <= prepared.dev_order.len()
-        && dev
-            .iter()
-            .zip(&prepared.dev_order)
-            .all(|(l, &i)| std::ptr::eq(*l, &prepared.dataset.images[i]));
-    let dev_prep = dev_is_prefix.then(|| prepared.dev_prepared(ctx));
-    let ig = match &dev_prep {
-        Some(all) => InspectorGadget::train_in(
-            ctx,
-            patterns,
-            DevSet::Prepared(&all[..dev.len()]),
-            &dev_labels,
-            num_classes,
-            &config,
-            &mut rng,
-        ),
-        None => InspectorGadget::train_in(
-            ctx,
-            patterns,
-            DevSet::Raw(&dev_images),
-            &dev_labels,
-            num_classes,
-            &config,
-            &mut rng,
-        ),
-    }
+    let ig = InspectorGadget::train_in(
+        ctx,
+        patterns,
+        DevSet::Raw(&dev_images),
+        &dev_labels,
+        num_classes,
+        &config,
+        &mut rng,
+    )
     .ok()?;
-    let test_prep = prepared.test_prepared(ctx);
-    let test_features = ig.features_in(ctx, DevSet::Prepared(&test_prep));
+    let test_features = ig.features_in(ctx, DevSet::Raw(&prepared.test_batch()));
     let out = ig.label_from_features(&test_features);
     let gold = prepared.test_labels();
     let score = task_f1(num_classes, &gold, &out.labels);

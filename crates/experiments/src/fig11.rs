@@ -73,13 +73,10 @@ pub fn run(env: &ExpEnv) -> ExitCode {
             continue;
         };
         let dev_labels: Vec<usize> = dev.iter().map(|l| l.label).collect();
-        // Dev/test matching caches live in the context's artifact store,
-        // shared with every other driver that scores these datasets —
-        // each image is pyramided exactly once per run.
-        let dev_prep = prepared.dev_prepared(&env.ctx);
-        let dev_features = fg.feature_matrix_prepared(&dev_prep[..dev.len()]);
+        let dev_images: Vec<&ig_imaging::GrayImage> = dev.iter().map(|l| &l.image).collect();
+        let dev_features = fg.feature_matrix(&dev_images);
         let test_labels = prepared.test_labels();
-        let test_features = fg.feature_matrix_prepared(&prepared.test_prepared(&env.ctx));
+        let test_features = fg.feature_matrix(&prepared.test_batch());
 
         // Evaluate every candidate architecture directly on the test set
         // (the oracle bounds: "maximum and minimum possible F1 scores").

@@ -24,9 +24,10 @@
 //! `<out>/health.json` (fault summary + event log).
 //!
 //! Every run builds one [`ExpEnv`] whose [`ig_core::RunContext`] is
-//! shared by all drivers it dispatches: datasets, prepared-image caches
-//! and feature matrices memoize in the context's artifact store, so an
-//! `all` run pyramids each image exactly once across experiments.
+//! shared by all drivers it dispatches: datasets, pattern banks and
+//! feature matrices memoize in the context's artifact store, so an `all`
+//! run generates each dataset once and matches a bank against a batch
+//! once across experiments.
 //!
 //! `--store DIR` adds a crash-safe on-disk tier beneath the in-memory
 //! store: durable stages (dataset generation, clean feature matrices)

@@ -21,8 +21,8 @@
 use crate::common::{ExpEnv, Report};
 use crate::json::json_record;
 use ig_core::{
-    ComputeFeatureShard, DevSet, FeatureGenerator, HealthReport, InspectorGadget, Pattern,
-    PatternSource, PipelineConfig, ShardPlan,
+    ComputeFeatureShard, DevSet, HealthReport, InspectorGadget, Pattern, PatternSource,
+    PipelineConfig, ShardPlan,
 };
 use ig_crowd::CrowdWorkflow;
 use ig_eval::metrics::task_f1;
@@ -115,25 +115,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     }
     let patterns = Pattern::wrap_all(crowd.patterns, PatternSource::Crowd);
 
-    // A probe generator measures one image's prepared footprint (the
-    // estimate the shard budgeter divides by) and prepares the dev set
-    // so training itself takes the sharded path under a tight budget.
-    let probe = match FeatureGenerator::new(patterns.clone()) {
-        Ok(g) => g,
-        Err(e) => {
-            report.line(format!("feature generator rejected the bank: {e}"));
-            report.finish::<[u64]>(&[]);
-            return ExitCode::SUCCESS;
-        }
-    };
     let dev_images: Vec<&GrayImage> = dev.images.iter().map(|l| &l.image).collect();
-    let dev_prepared = probe.prepare_images(&dev_images);
-    let per_image = dev_prepared
-        .first()
-        .map(|p| p.approx_bytes())
-        .unwrap_or(1)
-        .max(1);
-
     let config = PipelineConfig {
         tune: false,
         ..Default::default()
@@ -142,7 +124,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     let ig = match InspectorGadget::train_in(
         ctx,
         patterns,
-        DevSet::Prepared(&dev_prepared),
+        DevSet::Raw(&dev_images),
         &dev_labels,
         num_classes,
         &config,
@@ -155,7 +137,14 @@ pub fn run(env: &ExpEnv) -> ExitCode {
             return ExitCode::SUCCESS;
         }
     };
-    drop(dev_prepared);
+    let generator = ig.feature_generator();
+    // One prepared image's footprint: the estimate the shard budgeter
+    // divides by.
+    let per_image = generator
+        .prepare_images(dev_images.get(..1).unwrap_or_default())
+        .first()
+        .map_or(1, |p| p.approx_bytes())
+        .max(1);
     drop(dev);
 
     let plan = ShardPlan::for_budget(n, (n as u64) * (per_image as u64), budget);
@@ -170,7 +159,6 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     // shard. Only the feature rows (durable, shard-keyed) and the weak
     // labels survive a shard's iteration.
     let bank = ig.bank_fingerprint();
-    let generator = ig.feature_generator();
     let health = HealthReport::new();
     let started = Instant::now();
     let mut weak = Vec::with_capacity(n);
@@ -203,8 +191,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     let verify_started = Instant::now();
     let whole = ig_synth::generate(&spec);
     let refs: Vec<&GrayImage> = whole.images.iter().map(|l| &l.image).collect();
-    let prepared = generator.prepare_images(&refs);
-    let mono = ig.label_from_features(&generator.feature_matrix_prepared(&prepared));
+    let mono = ig.label(&refs);
     let wall_verify = verify_started.elapsed().as_secs_f64();
     let bit_identical = mono.labels == weak && mono.probabilities.as_slice() == probs.as_slice();
     let hwm_end = vmhwm_kb();

@@ -12,7 +12,6 @@
 //! cache whose contract is *bit-identical* replay.
 
 use ig_faults::{FaultPlan, GanFault};
-use ig_imaging::ncc::PyramidMatchConfig;
 use ig_imaging::prepared::PreparedImage;
 use ig_imaging::GrayImage;
 use ig_nn::Matrix;
@@ -256,15 +255,6 @@ impl Fingerprintable for Matrix {
         h.write_usize(self.rows());
         h.write_usize(self.cols());
         h.write_f32s(self.as_slice());
-    }
-}
-
-impl Fingerprintable for PyramidMatchConfig {
-    fn fingerprint_into(&self, h: &mut FingerprintHasher) {
-        h.write_usize(self.max_levels);
-        h.write_usize(self.min_pattern_side);
-        h.write_usize(self.top_k);
-        h.write_usize(self.refine_radius);
     }
 }
 

@@ -13,7 +13,7 @@
 //!   store;
 //! * [`ArtifactStore`]: an in-memory content-addressed cache memoizing
 //!   stage outputs by `(stage id, input fingerprint, seed)`,
-//!   so e.g. dev-set `PreparedImage`s and the dev feature matrix are
+//!   so e.g. a generated dataset and the dev feature matrix are
 //!   computed once per run and shared across experiment arms by
 //!   construction;
 //! * [`DiskStore`]: a crash-safe on-disk tier beneath the memory store
@@ -30,8 +30,8 @@
 //!   memoization and crash resume.
 //!
 //! Higher layers implement [`Stage`] for their own steps (`ig-core` ports
-//! the training pipeline; `ig-experiments` ports dataset generation and
-//! image preparation) and submit them through [`RunContext::run`].
+//! the training pipeline; dataset generation lives here as
+//! [`GenerateDataset`]) and submit them through [`RunContext::run`].
 
 pub mod codec;
 pub mod context;
@@ -50,7 +50,7 @@ pub use fingerprint::{Fingerprint, FingerprintHasher, Fingerprintable};
 pub use scale::{ScalePlan, ScaleTier};
 pub use shard::{ShardPlan, ShardSpec};
 pub use stage::Stage;
-pub use stages::{GenerateDataset, PrepareImages};
+pub use stages::GenerateDataset;
 pub use store::ArtifactStore;
 
 /// Collapse a `Result` whose error type is uninhabited.
