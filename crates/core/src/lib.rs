@@ -44,10 +44,8 @@ pub use ig_faults::{
 };
 
 // Runtime types, re-exported so pipeline callers can build contexts and
-// scale plans without a direct `ig-runtime` dependency.
-pub use ig_runtime::{
-    DiskStats, DiskStore, RunContext, ScalePlan, ScaleTier, ShardPlan, ShardSpec,
-};
+// shard plans without a direct `ig-runtime` dependency.
+pub use ig_runtime::{DiskStats, DiskStore, RunContext, ShardPlan, ShardSpec};
 
 /// Errors from the core pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -136,9 +136,8 @@ impl InspectorGadget {
     /// bank's generator or this dev set's features (e.g. a second
     /// experiment arm), those stages are served bit-identically from
     /// cache instead of recomputing. The dev matrix is one
-    /// [`ComputeFeatureShard`] over the whole set under any scale plan:
-    /// a memory budget shards only the out-of-core stream that callers
-    /// drive themselves.
+    /// [`ComputeFeatureShard`] over the whole set: only an out-of-core
+    /// stream that a caller drives itself runs in several shards.
     pub fn train_in(
         ctx: &RunContext,
         patterns: Vec<Pattern>,
@@ -193,9 +192,9 @@ impl InspectorGadget {
     /// The development-set feature matrix computed during training.
     /// Experiments that previously re-matched the dev set after training
     /// should read this instead — it is exactly what the labeler was
-    /// tuned and fit on.
-    pub fn dev_features(&self) -> &Matrix {
-        self.dev_features.as_ref()
+    /// tuned and fit on, shared rather than copied.
+    pub fn dev_features(&self) -> &Arc<Matrix> {
+        &self.dev_features
     }
 
     /// Feature matrix of any batch under this model's generator, memoized
@@ -209,16 +208,6 @@ impl InspectorGadget {
         let features = batch_features(ctx, self.bank_fp, &self.feature_gen, images, None, &health);
         ctx.health().merge(&health);
         features
-    }
-
-    /// Weak labels for a batch under `ctx`, the labeling counterpart of
-    /// [`InspectorGadget::train_in`]: the feature matrix memoizes in
-    /// `ctx`'s store (see [`InspectorGadget::features_in`]), so several
-    /// models trained from one bank label a shared batch with one
-    /// matching pass.
-    pub fn label_in(&self, ctx: &RunContext, images: DevSet<'_>) -> WeakLabelOutput {
-        let features = self.features_in(ctx, images);
-        self.label_from_features(&features)
     }
 
     /// Generate weak labels for a batch of images.
@@ -499,7 +488,8 @@ mod tests {
             "prepared training must see bit-identical dev features"
         );
         let out_a = plain.label(&refs[30..]);
-        let out_b = prepared.label_in(&ctx, DevSet::Prepared(&prepped[30..]));
+        let out_b = prepared
+            .label_from_features(&prepared.features_in(&ctx, DevSet::Prepared(&prepped[30..])));
         assert_eq!(out_a.labels, out_b.labels);
         assert_eq!(
             out_a.probabilities.as_slice(),
@@ -508,7 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn label_in_reports_matcher_errors_on_the_context() {
+    fn features_in_reports_matcher_errors_on_the_context() {
         let mut rng = StdRng::seed_from_u64(16);
         let (mut patterns, images, labels) = make_task(30, 17);
         patterns.truncate(1); // drop the constant fixture pattern
@@ -521,8 +511,8 @@ mod tests {
         let ctx = RunContext::new(0);
         let empty = GrayImage::new(0, 0);
         let batch = [refs[0], &empty];
-        let out = ig.label_in(&ctx, DevSet::Raw(&batch));
-        assert_eq!(out.labels.len(), 2);
+        let features = ig.features_in(&ctx, DevSet::Raw(&batch));
+        assert_eq!(ig.label_from_features(&features).labels.len(), 2);
         assert!(
             ctx.health().count(FaultKind::MatchError) >= 1,
             "{}",

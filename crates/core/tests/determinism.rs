@@ -147,7 +147,7 @@ fn models_from_one_bank_under_different_plans_keep_their_own_features() {
     for ((ctx, ig), own) in models.iter().zip(&own) {
         let memoized = ig.features_in(ctx, DevSet::Raw(test));
         assert_eq!(memoized.as_slice(), own.as_slice());
-        let weak = ig.label_in(ctx, DevSet::Raw(test));
+        let weak = ig.label_from_features(&memoized);
         let direct = ig.label(test);
         assert_eq!(weak.labels, direct.labels);
         assert_eq!(

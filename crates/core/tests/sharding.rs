@@ -1,4 +1,4 @@
-//! Out-of-core sharded feature computation: the `ooc` tier's central
+//! Out-of-core sharded feature computation: the `ooc` driver's central
 //! claim is that streaming a batch through [`ComputeFeatureShard`] in
 //! budget-sized slices is *bit-identical* to the whole-batch matrix —
 //! under any shard count and any fault plan — while each shard memoizes
@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use ig_check::{ensure, ensure_eq, properties};
 use ig_core::{
-    ComputeFeatureShard, DevSet, FaultPlan, FeatureGenerator, HealthReport, InspectorGadget,
-    Pattern, PipelineConfig, RunContext, ScalePlan, ShardPlan,
+    ComputeFeatureShard, DevSet, FaultPlan, FeatureGenerator, HealthReport, Pattern, RunContext,
+    ShardPlan,
 };
 use ig_imaging::prepared::PreparedImage;
 use ig_imaging::GrayImage;
@@ -146,48 +146,6 @@ properties! {
         features(&perturbed);
         ensure_eq!(ctx.store().misses(), 2, "a changed pixel must change the key");
     }
-}
-
-/// Training under the `ooc` tier (budget far below the dev set's
-/// prepared footprint) produces the same dev features, labels, and
-/// probabilities as training without a budget: a budget moves no
-/// training bit.
-#[test]
-fn ooc_training_matches_monolithic_training() {
-    let (patterns, images, labels) = make_task(40, 7);
-    let refs: Vec<&GrayImage> = images.iter().collect();
-    let config = PipelineConfig {
-        tune: false,
-        ..Default::default()
-    };
-    let train = |ctx: &RunContext| {
-        let mut rng = StdRng::seed_from_u64(9);
-        InspectorGadget::train_in(
-            ctx,
-            patterns.clone(),
-            DevSet::Raw(&refs),
-            &labels,
-            2,
-            &config,
-            &mut rng,
-        )
-        .expect("training")
-    };
-    let mono = train(&RunContext::new(0));
-    let scale = ScalePlan::ooc().with_memory_budget(64 << 10);
-    let ooc = train(&RunContext::new(0).with_scale(scale));
-
-    assert_eq!(
-        mono.dev_features().as_slice(),
-        ooc.dev_features().as_slice(),
-        "dev matrix must be bit-identical"
-    );
-    let (out_a, out_b) = (mono.label(&refs), ooc.label(&refs));
-    assert_eq!(out_a.labels, out_b.labels);
-    assert_eq!(
-        out_a.probabilities.as_slice(),
-        out_b.probabilities.as_slice()
-    );
 }
 
 /// A stream killed mid-sweep resumes from its completed shards: the

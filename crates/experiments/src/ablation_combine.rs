@@ -28,7 +28,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     let mut report = Report::new("ablation_combine", &env.out);
     report.line(format!(
         "Combination-strategy ablation (reproduction extra, scale={}): weak-label F1",
-        env.scale().name()
+        env.scale.name()
     ));
     report.line(format!(
         "{:<22} {:>9} {:>9} {:>13}   mean pattern px (avg/union/inter)",
@@ -45,7 +45,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
         DatasetKind::ProductBubble,
         DatasetKind::ProductStamping,
     ] {
-        let prepared = Prepared::new(&env.ctx, kind);
+        let prepared = Prepared::new(&env.ctx, env.scale, kind);
         let dev = prepared.dev_images();
         let mut scores = [0.0f64; 3];
         let mut areas = [0.0f64; 3];

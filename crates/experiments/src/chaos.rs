@@ -11,10 +11,9 @@
 //! the recovery applied.
 //!
 //! Each arm is a [`RunContext`] clone carrying its own plan: the arms
-//! share the run-wide artifact store (dataset generation and test-image
-//! preparation happen once), while every plan-sensitive stage keys its
-//! cache entries by the plan — the clean arm can never be served a
-//! faulted artifact.
+//! share the run-wide artifact store (dataset generation happens once),
+//! while every plan-sensitive stage keys its cache entries by the plan —
+//! the clean arm can never be served a faulted artifact.
 //!
 //! A third *durability* arm attacks the storage layer instead of the
 //! pipeline: every durable-store write runs under
@@ -25,10 +24,11 @@
 
 use crate::common::{default_policies, gan_config, ExpEnv, Prepared, Report};
 use crate::json::json_record;
+use crate::scale::Scale;
 use ig_augment::{augment_with_health, AugmentMethod};
 use ig_core::{
     DevSet, FaultKind, FaultPlan, HealthEvent, HealthReport, InspectorGadget, MatchBackend,
-    Pattern, PatternSource, PipelineConfig, RecoveryAction, RunContext, ScalePlan,
+    Pattern, PatternSource, PipelineConfig, RecoveryAction, RunContext,
 };
 use ig_crowd::{CrowdWorkflow, WorkerModel};
 use ig_eval::metrics::task_f1;
@@ -56,7 +56,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     report.line("Chaos: fault injection and recovery across the full pipeline");
     report.line(format!("{:<8} {:>8} {:>8}", "arm", "F1", "faults"));
     let kind = DatasetKind::ProductScratch;
-    let prepared = Prepared::new(&env.ctx, kind);
+    let prepared = Prepared::new(&env.ctx, env.scale, kind);
     let seed = env.seed();
     let mut records = Vec::new();
     for (arm, plan) in [
@@ -65,7 +65,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     ] {
         let arm_ctx = env.ctx.clone().with_plan(Some(plan));
         let health = HealthReport::new();
-        let score = run_arm(&arm_ctx, &prepared, kind, &health);
+        let score = run_arm(&arm_ctx, env.scale, &prepared, kind, &health);
         match score {
             Some(score) => {
                 report.line(format!("{arm:<8} {score:>8.3} {:>8}", health.len()));
@@ -86,14 +86,15 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     }
     // Third arm: durability chaos. The store directory is rebuilt from
     // scratch every run, so the cold/warm sequence — and hence the event
-    // log serialized below — is deterministic and `--resume`-safe.
+    // log serialized below — is deterministic even when the run itself
+    // resumes over a `--store` directory.
     let store_dir = std::path::PathBuf::from(&env.out).join("chaos-store");
     match std::fs::remove_dir_all(&store_dir) {
         // Missing on the first run; nothing to clear either way.
         Ok(()) | Err(_) => {}
     }
     let health = HealthReport::new();
-    match run_durability_arm(*env.ctx.scale(), seed, &store_dir, &health) {
+    match run_durability_arm(env.scale, seed, &store_dir, &health) {
         Some((cold, warm, disk)) => {
             report.line(format!("{:<8} {warm:>8.3} {:>8}", "durable", health.len()));
             report.line(format!(
@@ -164,7 +165,7 @@ fn probe_plan(seed: u64, keys: &[u64]) -> FaultPlan {
 /// `(cold F1, warm F1, warm-pass disk stats)`; store and pipeline events
 /// from both passes accumulate in `health`.
 fn run_durability_arm(
-    scale: ScalePlan,
+    scale: Scale,
     seed: u64,
     store_dir: &Path,
     health: &HealthReport,
@@ -187,7 +188,6 @@ fn run_durability_arm(
     for pass in 0..2 {
         let disk = Arc::new(DiskStore::open(store_dir).ok()?);
         let ctx = RunContext::new(seed)
-            .with_scale(scale)
             .with_plan(Some(plan.clone()))
             .with_disk(Arc::clone(&disk));
         for &spec in &specs {
@@ -195,8 +195,8 @@ fn run_durability_arm(
             // the faulted store (and re-reading it on the warm pass) is.
             let _probe = infallible(ctx.run(&mut GenerateDataset { spec }));
         }
-        let prepared = Prepared::new(&ctx, DatasetKind::ProductScratch);
-        let score = run_arm(&ctx, &prepared, DatasetKind::ProductScratch, health)?;
+        let prepared = Prepared::new(&ctx, scale, DatasetKind::ProductScratch);
+        let score = run_arm(&ctx, scale, &prepared, DatasetKind::ProductScratch, health)?;
         health.absorb(ctx.health());
         if pass == 0 {
             cold = Some(score);
@@ -218,16 +218,18 @@ fn chaos_crew() -> CrowdWorkflow {
     workflow
 }
 
-/// One full pipeline run under the context's fault plan. Returns the
-/// test-set F1; every stage's fault events are merged into `health` (also
-/// on failure, so a bailed-out arm still carries its diagnosis). An arm
-/// whose crowd output is empty cannot train at all: that is recorded as an
-/// unrecovered event on both `health` and the context's report. Training
-/// runs through the stage graph ([`InspectorGadget::train_in`]), so the
-/// recovery ladders execute inside the runtime and the test features
-/// memoize in the shared artifact store.
+/// One full pipeline run at `scale` under the context's fault plan.
+/// Returns the test-set F1; every stage's fault events are merged into
+/// `health` (also on failure, so a bailed-out arm still carries its
+/// diagnosis). An arm whose crowd output is empty cannot train at all:
+/// that is recorded as an unrecovered event on both `health` and the
+/// context's report. Training runs through the stage graph
+/// ([`InspectorGadget::train_in`]), so the recovery ladders execute
+/// inside the runtime and the test features memoize in the shared
+/// artifact store.
 fn run_arm(
     ctx: &RunContext,
+    scale: Scale,
     prepared: &Prepared,
     kind: DatasetKind,
     health: &HealthReport,
@@ -256,9 +258,9 @@ fn run_arm(
     let all_patterns = augment_with_health(
         &crowd_out.patterns,
         AugmentMethod::Both,
-        ctx.scale().augment_budget,
+        scale.augment_budget(),
         &policies,
-        &gan_config(ctx.scale()),
+        &gan_config(scale),
         &mut rng,
         plan,
         health,
@@ -286,7 +288,7 @@ fn run_arm(
     )
     .ok()?;
     health.absorb(&ig.health);
-    let out = ig.label_in(ctx, DevSet::Raw(&prepared.test_batch()));
+    let out = ig.label_from_features(&ig.features_in(ctx, DevSet::Raw(&prepared.test_batch())));
     let score = task_f1(prepared.num_classes(), &prepared.test_labels(), &out.labels);
     Some(score)
 }
@@ -330,12 +332,18 @@ mod tests {
             })
             .expect("some seed hits the target fault pattern");
 
-        let ctx = RunContext::new(7).with_scale(ScalePlan::quick());
-        let prepared = Prepared::new(&ctx, DatasetKind::ProductScratch);
+        let ctx = RunContext::new(7);
+        let prepared = Prepared::new(&ctx, Scale::Quick, DatasetKind::ProductScratch);
         let chaos_ctx = ctx.with_plan(Some(plan));
         let health = HealthReport::new();
-        let score = run_arm(&chaos_ctx, &prepared, DatasetKind::ProductScratch, &health)
-            .expect("chaos run still trains");
+        let score = run_arm(
+            &chaos_ctx,
+            Scale::Quick,
+            &prepared,
+            DatasetKind::ProductScratch,
+            &health,
+        )
+        .expect("chaos run still trains");
         assert!(score.is_finite());
 
         for kind in [
@@ -369,15 +377,21 @@ mod tests {
     /// event on the arm's report and on the context's.
     #[test]
     fn arm_without_crowd_patterns_reports_an_unrecovered_event() {
-        let ctx = RunContext::new(7).with_scale(ScalePlan::quick());
-        let prepared = Prepared::new(&ctx, DatasetKind::ProductScratch);
+        let ctx = RunContext::new(7);
+        let prepared = Prepared::new(&ctx, Scale::Quick, DatasetKind::ProductScratch);
         let plan = FaultPlan {
             crowd_no_show_rate: 1.0,
             ..FaultPlan::none(7)
         };
         let arm_ctx = ctx.clone().with_plan(Some(plan));
         let health = HealthReport::new();
-        let score = run_arm(&arm_ctx, &prepared, DatasetKind::ProductScratch, &health);
+        let score = run_arm(
+            &arm_ctx,
+            Scale::Quick,
+            &prepared,
+            DatasetKind::ProductScratch,
+            &health,
+        );
         assert_eq!(score, None, "no patterns, no model");
         assert_eq!(health.summary().unrecovered, 1);
         let run = ctx.health().summary();
@@ -396,15 +410,27 @@ mod tests {
     /// outcome.
     #[test]
     fn empty_plan_leaves_accuracy_unchanged() {
-        let ctx = RunContext::new(9).with_scale(ScalePlan::quick());
-        let prepared = Prepared::new(&ctx, DatasetKind::ProductScratch);
+        let ctx = RunContext::new(9);
+        let prepared = Prepared::new(&ctx, Scale::Quick, DatasetKind::ProductScratch);
         let h_none = HealthReport::new();
-        let f1_none = run_arm(&ctx, &prepared, DatasetKind::ProductScratch, &h_none)
-            .expect("clean run trains");
+        let f1_none = run_arm(
+            &ctx,
+            Scale::Quick,
+            &prepared,
+            DatasetKind::ProductScratch,
+            &h_none,
+        )
+        .expect("clean run trains");
         let empty_ctx = ctx.clone().with_plan(Some(FaultPlan::none(9)));
         let h_empty = HealthReport::new();
-        let f1_empty = run_arm(&empty_ctx, &prepared, DatasetKind::ProductScratch, &h_empty)
-            .expect("clean run trains");
+        let f1_empty = run_arm(
+            &empty_ctx,
+            Scale::Quick,
+            &prepared,
+            DatasetKind::ProductScratch,
+            &h_empty,
+        )
+        .expect("clean run trains");
         assert_eq!(f1_none, f1_empty, "empty plan changed the outcome");
         assert!(h_none.is_clean() && h_empty.is_clean());
     }
@@ -421,7 +447,7 @@ mod tests {
         }
         let health = HealthReport::new();
         let (cold, warm, stats) =
-            run_durability_arm(ScalePlan::quick(), 7, &dir, &health).expect("durability arm runs");
+            run_durability_arm(Scale::Quick, 7, &dir, &health).expect("durability arm runs");
         assert_eq!(cold, warm, "a resumed sweep must land the identical F1");
         assert!(health.count(FaultKind::ArtifactCorruption) >= 1);
         assert!(health.count(FaultKind::StaleLock) >= 1);

@@ -1,19 +1,20 @@
 //! Shared plumbing for the per-table/figure experiment drivers.
 //!
 //! Every driver runs under one [`ExpEnv`]: a [`RunContext`] carrying the
-//! seed, the [`ScalePlan`] and the run-wide artifact store, plus the
-//! output directory. Dataset generation and feature matrices go through
-//! the runtime's stages, so an `all` run (or a multi-arm driver)
-//! generates each dataset once and matches a pattern bank against a
-//! batch once. Images are passed raw: the matching engine keeps only a
-//! few of them prepared at a time.
+//! seed and the run-wide artifact store, the [`Scale`], the memory
+//! budget and the output directory. Dataset generation and feature
+//! matrices go through the runtime's stages, so an `all` run (or a
+//! multi-arm driver) generates each dataset once and matches a pattern
+//! bank against a batch once. Images are passed raw: the matching
+//! engine keeps only a few of them prepared at a time.
 
 use crate::json::ToJson;
+use crate::scale::Scale;
 use ig_augment::policy::{Policy, PolicyOp};
 use ig_augment::{augment, AugmentMethod, RganConfig};
 use ig_core::{
     DevSet, FeatureGenerator, InspectorGadget, MatchBackend, Pattern, PatternSource,
-    PipelineConfig, RunContext, ScalePlan, ScaleTier,
+    PipelineConfig, RunContext,
 };
 use ig_crowd::{sample_dev_set, CrowdWorkflow};
 use ig_eval::metrics::task_f1;
@@ -28,21 +29,22 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// One experiment invocation's environment: the shared [`RunContext`]
-/// (seed, scale, artifact store) and the output directory.
+/// (seed, artifact store), the scale, the memory budget and the output
+/// directory.
 pub struct ExpEnv {
     /// Run-wide context. Drivers clone it to install a fault plan
     /// ([`RunContext::with_plan`]); the clone shares the artifact store.
     pub ctx: RunContext,
+    /// Dataset sizes and budgets of every driver.
+    pub scale: Scale,
+    /// Resident-set budget of the `ooc` driver's stream, in bytes; `0`
+    /// means unbounded (one shard).
+    pub budget: u64,
     /// Report output directory.
     pub out: String,
 }
 
 impl ExpEnv {
-    /// Scale plan shorthand.
-    pub fn scale(&self) -> &ScalePlan {
-        self.ctx.scale()
-    }
-
     /// Seed shorthand.
     pub fn seed(&self) -> u64 {
         self.ctx.seed()
@@ -62,16 +64,15 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// Generate (through the context's [`GenerateDataset`] stage) and
-    /// split. The dev sampling uses `ctx.rng(0x5eed)`, preserving the
-    /// legacy `seed ^ 0x5eed` derivation bit for bit.
-    pub fn new(ctx: &RunContext, kind: DatasetKind) -> Prepared {
+    /// Generate at `scale` (through the context's [`GenerateDataset`]
+    /// stage) and split. The dev sampling uses `ctx.rng(0x5eed)`,
+    /// preserving the legacy `seed ^ 0x5eed` derivation bit for bit.
+    pub fn new(ctx: &RunContext, scale: Scale, kind: DatasetKind) -> Prepared {
         let dataset = infallible(ctx.run(&mut GenerateDataset {
-            spec: ctx.scale().spec(kind, ctx.seed()),
+            spec: scale.spec(kind, ctx.seed()),
         }));
         let mut rng = ctx.rng(0x5eed);
-        let mut dev_order =
-            sample_dev_set(&dataset, ctx.scale().dev_defective_target(kind), &mut rng);
+        let mut dev_order = sample_dev_set(&dataset, scale.dev_defective_target(kind), &mut rng);
         // Keep at least a third of the data as test and make sure the dev
         // set covers all classes (a tiny sample can hit defectives only,
         // which no labeler can be trained on).
@@ -230,15 +231,15 @@ pub fn default_policies(kind: DatasetKind) -> Vec<Policy> {
 }
 
 /// GAN config scaled for experiments.
-pub fn gan_config(scale: &ScalePlan) -> RganConfig {
-    match scale.tier {
-        ScaleTier::Quick => RganConfig::quick(),
-        ScaleTier::Medium => RganConfig {
+pub fn gan_config(scale: Scale) -> RganConfig {
+    match scale {
+        Scale::Quick => RganConfig::quick(),
+        Scale::Medium => RganConfig {
             epochs: 150,
             pattern_side: 12,
             ..RganConfig::default()
         },
-        ScaleTier::Paper | ScaleTier::Ooc => RganConfig {
+        Scale::Paper => RganConfig {
             epochs: 400,
             ..RganConfig::default()
         },
@@ -253,21 +254,23 @@ pub struct IgRun {
     pub max_similarities: Vec<f32>,
     /// Weak labels on the test set.
     pub weak_labels: Vec<usize>,
-    /// Feature matrices so baselines can reuse them.
-    pub dev_features: Matrix,
-    /// Feature matrices so baselines can reuse them.
-    pub test_features: Matrix,
+    /// Dev feature matrix, shared with the model, so baselines can
+    /// reuse it.
+    pub dev_features: Arc<Matrix>,
+    /// Test feature matrix, shared with the artifact store, so baselines
+    /// can reuse it.
+    pub test_features: Arc<Matrix>,
 }
 
 /// Run the full Inspector Gadget pipeline on a prepared dataset.
 ///
 /// `dev` is the (possibly prefixed) development set; patterns come from
-/// the crowd workflow, get augmented with `method`, then the tuned
-/// labeler weak-labels the test set. Every stage memoizes in
-/// `ctx`'s artifact store.
+/// the crowd workflow, get augmented with `method` (the GAN sized to
+/// `env`'s scale), then the tuned labeler weak-labels the test set.
+/// Every stage memoizes in `env`'s artifact store.
 #[allow(clippy::too_many_arguments)]
 pub fn run_inspector_gadget(
-    ctx: &RunContext,
+    env: &ExpEnv,
     prepared: &Prepared,
     dev: &[&LabeledImage],
     method: AugmentMethod,
@@ -287,10 +290,10 @@ pub fn run_inspector_gadget(
         method,
         budget,
         &policies,
-        &gan_config(ctx.scale()),
+        &gan_config(env.scale),
         &mut rng,
     );
-    run_ig_with_patterns(ctx, prepared, dev, all_patterns, tune, seed)
+    run_ig_with_patterns(&env.ctx, prepared, dev, all_patterns, tune, seed)
 }
 
 /// Run IG given an explicit pattern set (used by ablations).
@@ -336,14 +339,14 @@ pub fn run_ig_with_patterns(
     let out = ig.label_from_features(&test_features);
     let gold = prepared.test_labels();
     let score = task_f1(num_classes, &gold, &out.labels);
-    // The dev matrix was already computed (and tuned on) during training.
-    let dev_features = ig.dev_features().clone();
     Some(IgRun {
         f1: score,
         max_similarities: out.max_similarities,
         weak_labels: out.labels,
-        dev_features,
-        test_features: (*test_features).clone(),
+        // The dev matrix was already computed (and tuned on) during
+        // training.
+        dev_features: Arc::clone(ig.dev_features()),
+        test_features,
     })
 }
 

@@ -5,9 +5,9 @@ use crate::common::{
     crowd_patterns, default_policies, gan_config, run_ig_with_patterns, ExpEnv, Prepared, Report,
 };
 use crate::json::json_record;
+use crate::scale::Scale;
 use ig_augment::gan::Rgan;
 use ig_augment::policy::policy_augment;
-use ig_core::ScaleTier;
 use ig_crowd::CrowdWorkflow;
 use ig_synth::spec::DatasetKind;
 use rand::rngs::StdRng;
@@ -42,24 +42,24 @@ fn run_for(env: &ExpEnv, kind: DatasetKind, report: &mut Report, all_points: &mu
     report.line(format!(
         "
 Figure 10 (reproduction, scale={}): F1 vs #augmented patterns on {}",
-        env.scale().name(),
+        env.scale.name(),
         kind.display_name()
     ));
-    let prepared = Prepared::new(&env.ctx, kind);
+    let prepared = Prepared::new(&env.ctx, env.scale, kind);
     let dev = prepared.dev_images();
     let base_patterns = crowd_patterns(&dev, &CrowdWorkflow::full(), seed ^ 0xf10);
     if base_patterns.is_empty() {
         report.line("(no crowd patterns; skipping)");
         return;
     }
-    let counts: Vec<usize> = match env.scale().tier {
-        ScaleTier::Quick => vec![0, 10, 20],
+    let counts: Vec<usize> = match env.scale {
+        Scale::Quick => vec![0, 10, 20],
         _ => vec![0, 20, 40, 60, 80, 100],
     };
     let policies = default_policies(kind);
     // Train the GAN once; sample increasing counts from it.
     let mut rng = StdRng::seed_from_u64(seed ^ 0xf11);
-    let gan = Rgan::train(&base_patterns, &gan_config(env.scale()), &mut rng);
+    let gan = Rgan::train(&base_patterns, &gan_config(env.scale), &mut rng);
 
     report.line(format!(
         "{:>12} {:>14} {:>14}",

@@ -34,7 +34,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     let mut report = Report::new("fig11", &env.out);
     report.line(format!(
         "Figure 11 (reproduction, scale={}): F1 range over MLP architectures vs our tuning",
-        env.scale().name()
+        env.scale.name()
     ));
     report.line(format!(
         "{:<22} {:>8} {:>8} {:>12}  {}",
@@ -49,7 +49,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     };
     let mut rows = Vec::new();
     for kind in DatasetKind::all() {
-        let prepared = Prepared::new(&env.ctx, kind);
+        let prepared = Prepared::new(&env.ctx, env.scale, kind);
         let dev = prepared.dev_images();
         let num_classes = prepared.num_classes();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xf11a);
@@ -64,9 +64,9 @@ pub fn run(env: &ExpEnv) -> ExitCode {
         let patterns = augment(
             &base,
             AugmentMethod::Both,
-            env.scale().augment_budget,
+            env.scale.augment_budget(),
             &default_policies(kind),
-            &gan_config(env.scale()),
+            &gan_config(env.scale),
             &mut rng,
         );
         let Some(fg) = feature_generator(&patterns) else {

@@ -4,13 +4,13 @@
 
 use crate::common::{run_inspector_gadget, ExpEnv, Prepared, Report};
 use crate::json::json_record;
+use crate::scale::Scale;
 use ig_augment::AugmentMethod;
 use ig_baselines::cnn_models::CnnArch;
 use ig_baselines::goggles::{Goggles, GogglesConfig};
 use ig_baselines::selflearn::{SelfLearnConfig, SelfLearner};
 use ig_baselines::snuba::{Snuba, SnubaConfig};
 use ig_baselines::transfer::{fine_tune, pretrain};
-use ig_core::ScaleTier;
 use ig_eval::metrics::task_f1;
 use ig_imaging::GrayImage;
 use ig_synth::spec::DatasetKind;
@@ -39,21 +39,21 @@ const METHODS: [&str; 6] = [
 /// Run the Figure 9 reproduction.
 pub fn run(env: &ExpEnv) -> ExitCode {
     let seed = env.seed();
-    let scale = *env.scale();
+    let scale = env.scale;
     let mut report = Report::new("fig9", &env.out);
     report.line(format!(
         "Figure 9 (reproduction, scale={}): weak-label F1 vs dev-set size",
         scale.name()
     ));
     let cnn_config = SelfLearnConfig {
-        epochs: scale.cnn_epochs,
+        epochs: scale.cnn_epochs(),
         ..Default::default()
     };
     let fractions = [0.4f64, 0.6, 0.8, 1.0];
     let mut points: Vec<Point> = Vec::new();
 
     for kind in DatasetKind::all() {
-        let prepared = Prepared::new(&env.ctx, kind);
+        let prepared = Prepared::new(&env.ctx, env.scale, kind);
         let num_classes = prepared.num_classes();
         let test = prepared.test_images();
         let test_imgs: Vec<&GrayImage> = test.iter().map(|l| &l.image).collect();
@@ -114,12 +114,12 @@ pub fn run(env: &ExpEnv) -> ExitCode {
 
             // Inspector Gadget (tuning on except at quick scale).
             let ig_run = run_inspector_gadget(
-                &env.ctx,
+                env,
                 &prepared,
                 &dev,
                 AugmentMethod::Both,
-                scale.augment_budget,
-                !matches!(scale.tier, ScaleTier::Quick),
+                scale.augment_budget(),
+                scale != Scale::Quick,
                 kind,
                 seed ^ (dev_size as u64),
             );
@@ -167,10 +167,10 @@ pub fn run(env: &ExpEnv) -> ExitCode {
             // the sweep's single-core runtime.
             {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x70 ^ dev_size as u64);
-                let corpus_n = match scale.tier {
-                    ScaleTier::Quick => 64,
-                    ScaleTier::Medium => 200,
-                    ScaleTier::Paper | ScaleTier::Ooc => 640,
+                let corpus_n = match scale {
+                    Scale::Quick => 64,
+                    Scale::Medium => 200,
+                    Scale::Paper => 640,
                 };
                 let synthnet = ig_synth::synthnet::generate(corpus_n, 32, seed ^ 0x71);
                 let src_imgs: Vec<&GrayImage> = synthnet.images.iter().map(|l| &l.image).collect();

@@ -2,8 +2,8 @@
 //! "Inspector Gadget" (Heo et al., VLDB 2020).
 //!
 //! ```text
-//! ig-experiments <experiment> [--scale tiny|quick|medium|paper|ooc]
-//!                [--seed N] [--out DIR] [--store DIR] [--resume]
+//! ig-experiments <experiment> [--scale tiny|quick|medium|paper]
+//!                [--seed N] [--out DIR] [--store DIR]
 //!                [--budget BYTES] [--health-exit]
 //!
 //! experiments: table1 table2 table3 table4 table5 table6
@@ -16,11 +16,12 @@
 //!
 //! `--scale medium` (default) keeps the paper's class ratios at reduced
 //! dataset sizes so a full `all` run finishes in CPU-minutes; `paper`
-//! uses Table 1's exact N; `tiny` is the CI smoke alias of `quick`;
-//! `ooc` streams the paper-scale datasets through the stage graph in
-//! shards sized to a resident-set budget (default 256 MiB; `--budget`
-//! overrides the budget at any scale, `0` = unbounded/monolithic).
-//! Outputs go to stdout and `<out>/<exp>.{txt,json}`, plus a run-wide
+//! uses Table 1's exact N; `tiny` is the CI smoke alias of `quick`.
+//! `--budget BYTES` is the resident-set budget of the `ooc` driver's
+//! stream, the only driver that reads it (default `0`, one shard);
+//! `ooc --scale paper --budget 268435456` streams the paper-scale KSDD
+//! corpus through the stage graph in 256 MiB shards. Outputs go to
+//! stdout and `<out>/<exp>.{txt,json}`, plus a run-wide
 //! `<out>/health.json` (fault summary + event log).
 //!
 //! Every run builds one [`ExpEnv`] whose [`ig_core::RunContext`] is
@@ -34,8 +35,7 @@
 //! persist as checksummed artifacts, so a rerun pointed at the same
 //! directory warm-starts from whatever a killed sweep already computed.
 //! Because every stage is a pure function of its key, the resumed run's
-//! result files are byte-identical to an uninterrupted one. `--resume`
-//! is the shorthand that defaults the store to `<out>/store`.
+//! result files are byte-identical to an uninterrupted one.
 //!
 //! `--health-exit` turns the health summary into the exit code: 0 for a
 //! clean run, 3 for completed-with-recovered-faults, 4 when any fault
@@ -50,6 +50,7 @@ mod fig11;
 mod fig9;
 mod json;
 mod ooc;
+mod scale;
 mod table1;
 mod table2;
 mod table3;
@@ -58,16 +59,17 @@ mod table5;
 mod table6;
 
 use common::ExpEnv;
-use ig_core::{HealthReport, RunContext, ScalePlan};
+use ig_core::{HealthReport, RunContext};
 use ig_runtime::DiskStore;
 use json::{Json, ToJson};
+use scale::Scale;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 const USAGE: &str =
     "usage: ig-experiments <table1..table6|fig9|fig10|fig11|combine|chaos|ooc|all> \
-     [--scale tiny|quick|medium|paper|ooc] [--seed N] [--out DIR] [--store DIR] \
-     [--resume] [--budget BYTES] [--health-exit]";
+     [--scale tiny|quick|medium|paper] [--seed N] [--out DIR] [--store DIR] \
+     [--budget BYTES] [--health-exit]";
 
 /// A driver: runs one experiment and writes its results. A failure it
 /// detects in its own output (as `ooc`'s bit-identity check) is its exit
@@ -114,11 +116,11 @@ enum Command {
 struct Args {
     experiment: String,
     drivers: Vec<(&'static str, Driver)>,
-    scale: ScalePlan,
+    scale: Scale,
+    budget: u64,
     seed: u64,
     out: String,
     store: Option<String>,
-    resume: bool,
     health_exit: bool,
 }
 
@@ -133,17 +135,17 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command, String>
     if drivers.is_empty() {
         return Err(format!("unknown experiment {experiment}"));
     }
-    let mut scale = ScalePlan::medium();
+    let mut scale = Scale::Medium;
+    let mut budget = 0;
     let mut seed = 42u64;
     let mut out = "results".to_string();
     let mut store = None;
-    let mut resume = false;
     let mut health_exit = false;
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--scale" => {
                 let v = args.next().ok_or("--scale needs a value")?;
-                scale = ScalePlan::parse(&v)?;
+                scale = Scale::parse(&v)?;
             }
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;
@@ -155,13 +157,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command, String>
             "--store" => {
                 store = Some(args.next().ok_or("--store needs a value")?);
             }
-            "--resume" => {
-                resume = true;
-            }
             "--budget" => {
                 let v = args.next().ok_or("--budget needs a value (bytes)")?;
-                let bytes = v.parse().map_err(|_| format!("bad budget {v}"))?;
-                scale = scale.with_memory_budget(bytes);
+                budget = v.parse().map_err(|_| format!("bad budget {v}"))?;
             }
             "--health-exit" => {
                 health_exit = true;
@@ -173,10 +171,10 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command, String>
         experiment,
         drivers,
         scale,
+        budget,
         seed,
         out,
         store,
-        resume,
         health_exit,
     }))
 }
@@ -213,16 +211,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut ctx = RunContext::new(args.seed).with_scale(args.scale);
-    // `--resume` is `--store <out>/store`: both attach the durable tier,
-    // and resuming is nothing more than rerunning over a store directory
-    // that already holds a previous (possibly killed) run's artifacts.
-    let store_dir = args
-        .store
-        .clone()
-        .or_else(|| args.resume.then(|| format!("{}/store", args.out)));
+    let mut ctx = RunContext::new(args.seed);
+    // Resuming is nothing more than rerunning over a store directory that
+    // already holds a previous (possibly killed) run's artifacts.
     let mut disk = None;
-    if let Some(dir) = &store_dir {
+    if let Some(dir) = &args.store {
         match DiskStore::open(dir) {
             Ok(store) => {
                 let store = Arc::new(store);
@@ -238,6 +231,8 @@ fn main() -> ExitCode {
     }
     let env = ExpEnv {
         ctx,
+        scale: args.scale,
+        budget: args.budget,
         out: args.out.clone(),
     };
     let all = args.experiment == "all";
@@ -321,8 +316,13 @@ mod tests {
         assert_eq!(err(&["--seed"]), "unknown experiment --seed");
         assert_eq!(err(&[]), "missing experiment name");
         assert_eq!(err(&["table1", "--bogus"]), "unknown flag --bogus");
-        // The retired memoization switch is an unknown flag (exit 2).
+        assert_eq!(err(&["ooc", "--budget", "lots"]), "bad budget lots");
+        // Retired switches are errors (exit 2): the memoization switch,
+        // the `--store <out>/store` alias and the `ooc` tier, which is
+        // `--scale paper --budget 268435456`.
         assert_eq!(err(&["all", "--no-memo"]), "unknown flag --no-memo");
+        assert_eq!(err(&["all", "--resume"]), "unknown flag --resume");
+        assert!(err(&["ooc", "--scale", "ooc"]).starts_with("unknown scale tier `ooc`"));
     }
 
     #[test]
@@ -334,7 +334,12 @@ mod tests {
                 "7",
                 "--out",
                 "o",
-                "--resume",
+                "--store",
+                "s",
+                "--scale",
+                "paper",
+                "--budget",
+                "268435456",
                 "--health-exit",
             ];
             let Ok(Command::Run(args)) = parse(&argv) else {
@@ -342,7 +347,9 @@ mod tests {
             };
             assert_eq!(args.experiment, name);
             assert_eq!((args.seed, args.out.as_str()), (7, "o"));
-            assert!(args.resume && args.health_exit);
+            assert_eq!(args.store.as_deref(), Some("s"));
+            assert!(args.health_exit);
+            assert_eq!((args.scale, args.budget), (Scale::Paper, 256 << 20));
             let ran: Vec<&str> = args.drivers.iter().map(|&(ran, _)| ran).collect();
             if name == "all" {
                 assert_eq!(ran.len(), EXPERIMENTS.len() - 1);

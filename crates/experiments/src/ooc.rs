@@ -10,13 +10,13 @@
 //! A monolithic verify pass then recomputes everything in one piece and
 //! checks the streamed weak labels and probabilities are bit-identical.
 //!
-//! The resident-set budget comes from the scale plan (`--scale ooc`
-//! defaults to 256 MiB; `--budget BYTES` overrides it at any scale). A
-//! budget of `0` yields one shard — the monolithic arm the bench
-//! harness compares against. Peak memory is reported twice from
-//! `VmHWM`: once right after the streaming pass (the number the bench
-//! compares across budgets — the verify pass hasn't inflated it yet)
-//! and once at the end.
+//! The resident-set budget is `--budget BYTES`, which no other driver
+//! reads (`--scale paper --budget 268435456` streams the paper-scale
+//! corpus in 256 MiB shards). The default budget of `0` yields one
+//! shard — the monolithic arm the bench harness compares against. Peak
+//! memory is reported twice from `VmHWM`: once right after the streaming
+//! pass (the number the bench compares across budgets — the verify pass
+//! hasn't inflated it yet) and once at the end.
 
 use crate::common::{ExpEnv, Report};
 use crate::json::json_record;
@@ -71,8 +71,7 @@ fn hwm_text(kb: Option<u64>) -> String {
 
 pub fn run(env: &ExpEnv) -> ExitCode {
     let ctx = &env.ctx;
-    let scale = ctx.scale();
-    let budget = scale.memory_budget_bytes;
+    let (scale, budget) = (env.scale, env.budget);
     let kind = DatasetKind::Ksdd;
     let spec = scale.spec(kind, ctx.seed());
     let n = spec.n;

@@ -23,7 +23,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     let mut report = Report::new("table1", &env.out);
     report.line(format!(
         "Table 1 (reproduction, scale={}): dataset statistics",
-        env.scale().name()
+        env.scale.name()
     ));
     report.line(format!(
         "{:<22} {:>11} {:>12} {:>12}  {:<28} {:<11}",
@@ -31,7 +31,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     ));
     let mut rows = Vec::new();
     for kind in ig_synth::spec::DatasetKind::all() {
-        let prepared = Prepared::new(&env.ctx, kind);
+        let prepared = Prepared::new(&env.ctx, env.scale, kind);
         let (w, h) = prepared.dataset.image_dims();
         let dev = prepared.dev_images();
         let dev_defective = dev.iter().filter(|i| i.is_defective()).count();

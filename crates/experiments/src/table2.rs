@@ -5,10 +5,10 @@
 
 use crate::common::{ExpEnv, Prepared, Report};
 use crate::json::json_record;
+use crate::scale::Scale;
 use ig_baselines::cnn_models::CnnArch;
 use ig_baselines::selflearn::SelfLearnConfig;
 use ig_baselines::transfer::{fine_tune, pretrain};
-use ig_core::ScaleTier;
 use ig_eval::metrics::task_f1;
 use ig_imaging::GrayImage;
 use ig_synth::spec::DatasetKind;
@@ -37,10 +37,10 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     let mut report = Report::new("table2", &env.out);
     report.line(format!(
         "Table 2 (reproduction, scale={}): MiniVGG F1 when pre-trained on various sources",
-        env.scale().name()
+        env.scale.name()
     ));
     let config = SelfLearnConfig {
-        epochs: env.scale().cnn_epochs,
+        epochs: env.scale.cnn_epochs(),
         ..Default::default()
     };
 
@@ -54,13 +54,13 @@ pub fn run(env: &ExpEnv) -> ExitCode {
 
     let targets: Vec<Prepared> = TARGETS
         .iter()
-        .map(|&k| Prepared::new(&env.ctx, k))
+        .map(|&k| Prepared::new(&env.ctx, env.scale, k))
         .collect();
     let synthnet = ig_synth::synthnet::generate(
-        match env.scale().tier {
-            ScaleTier::Quick => 64,
-            ScaleTier::Medium => 320,
-            ScaleTier::Paper | ScaleTier::Ooc => 800,
+        match env.scale {
+            Scale::Quick => 64,
+            Scale::Medium => 320,
+            Scale::Paper => 800,
         },
         32,
         seed ^ 0x1111,

@@ -32,7 +32,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     let mut report = Report::new("table3", &env.out);
     report.line(format!(
         "Table 3 (reproduction, scale={}): crowdsourcing workflow ablation (F1)",
-        env.scale().name()
+        env.scale.name()
     ));
     report.line(format!(
         "{:<22} {:>22} {:>16} {:>14}",
@@ -40,7 +40,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     ));
     let mut rows = Vec::new();
     for kind in DATASETS {
-        let prepared = Prepared::new(&env.ctx, kind);
+        let prepared = Prepared::new(&env.ctx, env.scale, kind);
         let dev = prepared.dev_images();
 
         // No avg: one run per worker, report mean ± std/2 across workers.

@@ -23,21 +23,21 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     let mut report = Report::new("table4", &env.out);
     report.line(format!(
         "Table 4 (reproduction, scale={}): augmentation impact on weak-label F1",
-        env.scale().name()
+        env.scale.name()
     ));
     report.line(format!(
         "{:<22} {:>9} {:>13} {:>11} {:>11}",
         "Dataset", "No Aug.", "Policy Based", "GAN Based", "Using Both"
     ));
-    let budget = env.scale().augment_budget;
+    let budget = env.scale.augment_budget();
     let mut rows = Vec::new();
     for kind in DatasetKind::all() {
-        let prepared = Prepared::new(&env.ctx, kind);
+        let prepared = Prepared::new(&env.ctx, env.scale, kind);
         let dev = prepared.dev_images();
         let mut scores = [0.0f64; 4];
         for (i, method) in AugmentMethod::all().into_iter().enumerate() {
             scores[i] =
-                run_inspector_gadget(&env.ctx, &prepared, &dev, method, budget, false, kind, seed)
+                run_inspector_gadget(env, &prepared, &dev, method, budget, false, kind, seed)
                     .map(|r| r.f1)
                     .unwrap_or(0.0);
         }

@@ -31,14 +31,14 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     let mut report = Report::new("table5", &env.out);
     report.line(format!(
         "Table 5 (reproduction, scale={}): end models on dev-only vs dev+weak labels",
-        env.scale().name()
+        env.scale.name()
     ));
     report.line(format!(
         "{:<22} {:<12} {:>9} {:>9} {:>9}",
         "Dataset", "End Model", "Dev. Set", "WL (IG)", "Tip.Pnt"
     ));
     let config = SelfLearnConfig {
-        epochs: env.scale().cnn_epochs,
+        epochs: env.scale.cnn_epochs(),
         ..Default::default()
     };
     let mut rows = Vec::new();
@@ -48,7 +48,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
         } else {
             CnnArch::MiniVgg
         };
-        let prepared = Prepared::new(&env.ctx, kind);
+        let prepared = Prepared::new(&env.ctx, env.scale, kind);
         let dev = prepared.dev_images();
         let num_classes = prepared.num_classes();
         // Split the held-out pool into a weak-label pool and a final test
@@ -61,11 +61,11 @@ pub fn run(env: &ExpEnv) -> ExitCode {
 
         // 1. IG weak labels for the weak pool.
         let ig_run = run_inspector_gadget(
-            &env.ctx,
+            env,
             &prepared,
             &dev,
             AugmentMethod::Both,
-            env.scale().augment_budget,
+            env.scale.augment_budget(),
             false,
             kind,
             seed,

@@ -25,7 +25,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     let mut report = Report::new("table6", &env.out);
     report.line(format!(
         "Table 6 (reproduction, scale={}): error analysis of Inspector Gadget",
-        env.scale().name()
+        env.scale.name()
     ));
     report.line(format!(
         "{:<22} {:>22} {:>16} {:>22}",
@@ -33,14 +33,14 @@ pub fn run(env: &ExpEnv) -> ExitCode {
     ));
     let mut rows = Vec::new();
     for kind in DatasetKind::all() {
-        let prepared = Prepared::new(&env.ctx, kind);
+        let prepared = Prepared::new(&env.ctx, env.scale, kind);
         let dev = prepared.dev_images();
         let Some(run) = run_inspector_gadget(
-            &env.ctx,
+            env,
             &prepared,
             &dev,
             AugmentMethod::Both,
-            env.scale().augment_budget,
+            env.scale.augment_budget(),
             false,
             kind,
             seed,

@@ -29,7 +29,7 @@ use crate::symbols::{Resolution, Symbols};
 /// `RunContext` accessors that key the cache only if the stage hashes
 /// them. (`seed`/`rng` are folded into the key by the runtime itself;
 /// `health`/`store` are observability sinks.)
-const KEYED_CTX: &[&str] = &["threads", "scale", "plan"];
+const KEYED_CTX: &[&str] = &["threads", "plan"];
 
 /// Field names that are observability sinks by convention: a health
 /// report collects counters without influencing the artifact bytes.

@@ -161,9 +161,9 @@ pub fn rule_catalog() -> Vec<RuleInfo> {
             name: "fingerprint-completeness",
             family: "stage-contract",
             scope: "every non-test `impl Stage` block in library crates",
-            description: "every `self` field and keyed `ctx` accessor (`threads`, `scale`, \
-                 `plan`) the `run()` closure reads must be folded into `fingerprint()` — a \
-                 missed input serves stale cached artifacts; the inverse (hashed but never \
+            description: "every `self` field and keyed `ctx` accessor (`threads`, `plan`) \
+                 the `run()` closure reads must be folded into `fingerprint()` — a missed \
+                 input serves stale cached artifacts; the inverse (hashed but never \
                  read) silently over-invalidates the cache",
         },
         RuleInfo {

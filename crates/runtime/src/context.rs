@@ -12,7 +12,6 @@ use rand::SeedableRng;
 
 use crate::disk::{DiskStore, Flight};
 use crate::fingerprint::{Fingerprint, FingerprintHasher, Fingerprintable};
-use crate::scale::ScalePlan;
 use crate::stage::Stage;
 use crate::store::ArtifactStore;
 
@@ -34,8 +33,7 @@ struct SaltLedger {
 }
 
 /// Everything a pipeline run shares: the seed, the active fault plan, the
-/// thread budget, the scale plan, the health report and the artifact
-/// store.
+/// thread budget, the health report and the artifact store.
 ///
 /// Cloning is cheap and *scoped*: the clone shares the store and health
 /// report but may carry a different fault plan (see
@@ -47,7 +45,6 @@ struct SaltLedger {
 pub struct RunContext {
     seed: u64,
     threads: usize,
-    scale: ScalePlan,
     plan: Option<FaultPlan>,
     store: Arc<ArtifactStore>,
     health: Arc<HealthReport>,
@@ -56,13 +53,12 @@ pub struct RunContext {
 }
 
 impl RunContext {
-    /// Context with the given seed, no fault plan, hardware-default
-    /// threads, quick scale.
+    /// Context with the given seed, no fault plan and hardware-default
+    /// threads.
     pub fn new(seed: u64) -> RunContext {
         RunContext {
             seed,
             threads: 0,
-            scale: ScalePlan::quick(),
             plan: None,
             store: Arc::new(ArtifactStore::new()),
             health: Arc::new(HealthReport::new()),
@@ -81,12 +77,6 @@ impl RunContext {
     /// Set the worker-thread budget (0 = hardware default).
     pub fn with_threads(mut self, threads: usize) -> RunContext {
         self.threads = threads;
-        self
-    }
-
-    /// Set the scale plan.
-    pub fn with_scale(mut self, scale: ScalePlan) -> RunContext {
-        self.scale = scale;
         self
     }
 
@@ -159,11 +149,6 @@ impl RunContext {
     /// Worker-thread budget (0 = hardware default).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The scale plan.
-    pub fn scale(&self) -> &ScalePlan {
-        &self.scale
     }
 
     /// The shared health report (faults recorded by any stage under this

@@ -8,9 +8,8 @@
 //! * [`Stage`]: a typed unit of work with a stable id and a structural
 //!   [`Fingerprint`] over its inputs and configuration;
 //! * [`RunContext`]: the single carrier of seed discipline, the active
-//!   [`ig_faults::FaultPlan`], the thread budget, the [`ScalePlan`], a
-//!   shared [`HealthReport`](ig_faults::HealthReport), and the artifact
-//!   store;
+//!   [`ig_faults::FaultPlan`], the thread budget, a shared
+//!   [`HealthReport`](ig_faults::HealthReport), and the artifact store;
 //! * [`ArtifactStore`]: an in-memory content-addressed cache memoizing
 //!   stage outputs by `(stage id, input fingerprint, seed)`,
 //!   so e.g. a generated dataset and the dev feature matrix are
@@ -23,7 +22,7 @@
 //!   resumable and warm starts possible — see the [`disk`] module docs
 //!   for the durability protocol;
 //! * [`shard`]: deterministic out-of-core streaming — a [`ShardPlan`]
-//!   sized to the scale plan's memory budget splits a dataset into
+//!   sized to a caller's memory budget splits a dataset into
 //!   [`ShardSpec`]s, and a shard stage (`ig-core`'s
 //!   `ComputeFeatureShard`, the one feature-matrix stage; a whole batch is
 //!   its single shard) runs once per shard with shard-granular
@@ -37,7 +36,6 @@ pub mod codec;
 pub mod context;
 pub mod disk;
 pub mod fingerprint;
-pub mod scale;
 pub mod shard;
 pub mod stage;
 pub mod stages;
@@ -47,7 +45,6 @@ pub use codec::{Dec, Durable, Enc};
 pub use context::RunContext;
 pub use disk::{DiskStats, DiskStore, Flight, FlightGuard};
 pub use fingerprint::{Fingerprint, FingerprintHasher, Fingerprintable};
-pub use scale::{ScalePlan, ScaleTier};
 pub use shard::{ShardPlan, ShardSpec};
 pub use stage::Stage;
 pub use stages::GenerateDataset;

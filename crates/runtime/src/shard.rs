@@ -3,11 +3,11 @@
 //!
 //! The paper's datasets fit in memory at reproduction scale, but the
 //! system they describe is an industrial labeling pipeline — the
-//! interesting regime is when the image corpus does *not* fit. The `ooc`
-//! scale tier ([`crate::ScalePlan::ooc`]) models that regime honestly:
-//! a [`ShardPlan`] divides a dataset's estimated resident bytes by the
-//! plan's `memory_budget_bytes` to pick a shard count, and a shard stage
-//! runs once per [`ShardSpec`] through the ordinary [`crate::Stage`]
+//! interesting regime is when the image corpus does *not* fit. The
+//! experiments' `ooc` driver models that regime honestly: a
+//! [`ShardPlan`] divides a dataset's estimated resident bytes by the
+//! driver's memory budget to pick a shard count, and a shard stage runs
+//! once per [`ShardSpec`] through the ordinary [`crate::Stage`]
 //! machinery. The workspace's shard stage is `ig-core`'s
 //! `ComputeFeatureShard`, which computes one shard's rows of the feature
 //! matrix; `ig_synth::generate_range` materializes one shard's slice of
@@ -35,8 +35,8 @@ use crate::fingerprint::{FingerprintHasher, Fingerprintable};
 /// How many shards a dataset streams through, and where each one starts.
 ///
 /// Construction is deliberately simple: `ceil(total_bytes / budget)`,
-/// clamped to `[1, total_items]`. A budget of zero (the monolithic
-/// tiers) always yields one shard covering everything, so callers can
+/// clamped to `[1, total_items]`. A budget of zero (unbounded) always
+/// yields one shard covering everything, so callers can
 /// route both modes through the same loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPlan {

@@ -26,8 +26,8 @@ pub trait Stage {
     /// Structural fingerprint over every input and configuration field
     /// that can affect the output, including whatever `run` reads from
     /// the context besides the seed: a stage that reads
-    /// [`RunContext::plan`], [`RunContext::threads`] or
-    /// [`RunContext::scale`] hashes what it reads.
+    /// [`RunContext::plan`] or [`RunContext::threads`] hashes what it
+    /// reads.
     fn fingerprint(&self) -> Fingerprint;
 
     /// Execute the stage. Called at most once per cache miss.

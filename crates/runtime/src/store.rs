@@ -11,7 +11,7 @@
 //! [`ArtifactStore::clear`] or the store is dropped. A [`crate::DiskStore`] may be attached beneath
 //! ([`ArtifactStore::attach_disk`]); the [`crate::RunContext`] consults it
 //! for stages that declare [`crate::Stage::durable`], which is what makes
-//! `--resume` and cross-process warm starts work.
+//! crash resume and cross-process warm starts work.
 
 use std::any::Any;
 use std::collections::BTreeMap;
