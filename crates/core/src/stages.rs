@@ -266,7 +266,7 @@ impl Stage for ComputeFeatureShard<'_> {
     }
 
     // Feature rows are the expensive artifact a resumed sweep most wants
-    // back, worth the cross-process single-flight claim. Only clean
+    // back, so they persist to the durable tier. Only clean
     // computations persist: a matrix computed under an active plan embeds
     // injected faults whose *detection* events must replay on every run —
     // reading it back from disk would skip the injection sites and

@@ -17,8 +17,8 @@
 //!
 //! A third *durability* arm attacks the storage layer instead of the
 //! pipeline: every durable-store write runs under
-//! [`FaultPlan::durability`]-style injectors (torn writes, flipped bits,
-//! stale advisory locks), and a warm restart over the damaged store must
+//! [`FaultPlan::durability`]-style injectors (torn writes and flipped
+//! bits), and a warm restart over the damaged store must
 //! quarantine what the checksums reject, recompute it, and land the cold
 //! pass's F1 exactly. See [`run_durability_arm`].
 
@@ -99,7 +99,7 @@ pub fn run(env: &ExpEnv) -> ExitCode {
             report.line(format!("{:<8} {warm:>8.3} {:>8}", "durable", health.len()));
             report.line(format!(
                 "    cold F1 {cold:.3} vs warm F1 {warm:.3}: {} \
-                 (store: {} hits, {} writes, {} quarantined, {} stale locks broken)",
+                 (store: {} hits, {} writes, {} quarantined)",
                 if cold == warm {
                     "resume is exact"
                 } else {
@@ -108,7 +108,6 @@ pub fn run(env: &ExpEnv) -> ExitCode {
                 disk.hits,
                 disk.writes,
                 disk.quarantined,
-                disk.locks_broken,
             ));
             for line in health.render().lines() {
                 report.line(format!("    {line}"));
@@ -147,7 +146,6 @@ fn probe_plan(seed: u64, keys: &[u64]) -> FaultPlan {
         .find(|p| {
             keys.iter().any(|&k| p.torn_write(k))
                 && keys.iter().any(|&k| p.artifact_bitflip(k))
-                && keys.iter().any(|&k| p.stale_lock(k))
                 && keys
                     .iter()
                     .any(|&k| !p.torn_write(k) && !p.artifact_bitflip(k))
@@ -318,7 +316,6 @@ mod tests {
                 lbfgs_poison_rate: 0.02,
                 torn_write_rate: 0.0,
                 artifact_bitflip_rate: 0.0,
-                stale_lock_rate: 0.0,
                 gan_fault_epoch: Some(1),
                 gan_fault: GanFault::Diverge,
             })
@@ -450,9 +447,7 @@ mod tests {
             run_durability_arm(Scale::Quick, 7, &dir, &health).expect("durability arm runs");
         assert_eq!(cold, warm, "a resumed sweep must land the identical F1");
         assert!(health.count(FaultKind::ArtifactCorruption) >= 1);
-        assert!(health.count(FaultKind::StaleLock) >= 1);
         assert!(health.count_action(RecoveryAction::QuarantinedArtifact) >= 1);
-        assert!(health.count_action(RecoveryAction::BrokeStaleLock) >= 1);
         assert!(stats.hits >= 1, "warm pass must hit the durable tier");
         assert!(stats.quarantined >= 1);
         match std::fs::remove_dir_all(&dir) {

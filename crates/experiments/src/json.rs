@@ -274,12 +274,12 @@ mod tests {
     fn unit_variants_are_their_names() {
         let event = ig_core::HealthEvent {
             stage: ig_faults::Stage::Store,
-            kind: ig_faults::FaultKind::StaleLock,
-            action: ig_faults::RecoveryAction::BrokeStaleLock,
-            detail: "pid 1".to_string(),
+            kind: ig_faults::FaultKind::ArtifactCorruption,
+            action: ig_faults::RecoveryAction::QuarantinedArtifact,
+            detail: "torn".to_string(),
         };
-        let want = "{\n  \"stage\": \"Store\",\n  \"kind\": \"StaleLock\",\n  \
-                    \"action\": \"BrokeStaleLock\",\n  \"detail\": \"pid 1\"\n}";
+        let want = "{\n  \"stage\": \"Store\",\n  \"kind\": \"ArtifactCorruption\",\n  \
+                    \"action\": \"QuarantinedArtifact\",\n  \"detail\": \"torn\"\n}";
         assert_eq!(event.to_json().pretty(), want);
     }
 }

@@ -260,9 +260,8 @@ fn main() -> ExitCode {
     if let Some(disk) = &disk {
         let s = disk.stats();
         println!(
-            "[store: {} disk hits / {} misses, {} writes, {} quarantined, {} stale locks broken, \
-             {} flight waits]",
-            s.hits, s.misses, s.writes, s.quarantined, s.locks_broken, s.flight_waits
+            "[store: {} disk hits / {} misses, {} writes, {} quarantined]",
+            s.hits, s.misses, s.writes, s.quarantined
         );
     }
     let summary = env.ctx.health().summary();

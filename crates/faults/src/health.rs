@@ -62,8 +62,6 @@ pub enum FaultKind {
     /// An on-disk artifact failed integrity verification (bad magic,
     /// truncated/torn file, checksum or key mismatch, undecodable payload).
     ArtifactCorruption,
-    /// An advisory store lock was held by a process that no longer exists.
-    StaleLock,
     /// The durable store hit an OS-level I/O error (persistence skipped;
     /// the in-memory tier still serves the artifact).
     StoreIoError,
@@ -88,7 +86,6 @@ impl fmt::Display for FaultKind {
             FaultKind::GanDivergence => "gan divergence",
             FaultKind::GanModeCollapse => "gan mode collapse",
             FaultKind::ArtifactCorruption => "artifact corruption",
-            FaultKind::StaleLock => "stale lock",
             FaultKind::StoreIoError => "store i/o error",
             FaultKind::StageFailure => "stage failure",
         };
@@ -119,8 +116,6 @@ pub enum RecoveryAction {
     PolicyOnlyAugmentation,
     /// Moved the corrupt on-disk artifact aside and recomputed it.
     QuarantinedArtifact,
-    /// Removed an advisory lock whose owning process is dead.
-    BrokeStaleLock,
     /// Fault was recorded but needed no intervention.
     NoneRequired,
 }
@@ -138,7 +133,6 @@ impl fmt::Display for RecoveryAction {
             RecoveryAction::RolledBackSnapshot => "rolled back snapshot",
             RecoveryAction::PolicyOnlyAugmentation => "policy-only augmentation",
             RecoveryAction::QuarantinedArtifact => "quarantined artifact",
-            RecoveryAction::BrokeStaleLock => "broke stale lock",
             RecoveryAction::NoneRequired => "none required",
         };
         f.write_str(s)

@@ -22,7 +22,6 @@
 mod health;
 pub mod inject;
 mod plan;
-pub mod sanitize;
 
 pub use health::{
     FaultCount, FaultKind, HealthEvent, HealthReport, HealthSummary, RecoveryAction, Stage,

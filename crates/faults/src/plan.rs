@@ -44,9 +44,6 @@ pub struct FaultPlan {
     /// Probability one payload bit of a durable-store write is flipped
     /// after its checksum was computed (silent media corruption).
     pub artifact_bitflip_rate: f64,
-    /// Probability a dead process's advisory lock file is left on an
-    /// artifact just before the store tries to write it.
-    pub stale_lock_rate: f64,
     /// Epoch at which GAN training is forced to misbehave, if any.
     pub gan_fault_epoch: Option<usize>,
     /// What the GAN fault looks like when `gan_fault_epoch` fires.
@@ -66,7 +63,6 @@ impl Default for FaultPlan {
             lbfgs_poison_rate: 0.0,
             torn_write_rate: 0.0,
             artifact_bitflip_rate: 0.0,
-            stale_lock_rate: 0.0,
             gan_fault_epoch: None,
             gan_fault: GanFault::Diverge,
         }
@@ -100,14 +96,13 @@ impl FaultPlan {
     }
 
     /// Preset exercising only the durable-store fault classes (torn
-    /// writes, bit flips, stale locks) at rates high enough that a
-    /// handful of artifacts hits every class.
+    /// writes and bit flips) at rates high enough that a handful of
+    /// artifacts hits every class.
     pub fn durability(seed: u64) -> Self {
         Self {
             seed,
             torn_write_rate: 0.3,
             artifact_bitflip_rate: 0.3,
-            stale_lock_rate: 0.3,
             ..Self::default()
         }
     }
@@ -126,7 +121,6 @@ impl FaultPlan {
             self.lbfgs_poison_rate,
             self.torn_write_rate,
             self.artifact_bitflip_rate,
-            self.stale_lock_rate,
         ]
         .iter()
         .all(|&r| is_effectively_zero_f64(r))
@@ -210,12 +204,6 @@ impl FaultPlan {
         !self.torn_write(key) && self.decide("store-bitflip", key, self.artifact_bitflip_rate)
     }
 
-    /// Should a dead process's lock file be planted on artifact `key`
-    /// just before the store writes it?
-    pub fn stale_lock(&self, key: u64) -> bool {
-        self.decide("store-stale-lock", key, self.stale_lock_rate)
-    }
-
     /// GAN fault scheduled for `epoch`, if any.
     pub fn gan_fault_at(&self, epoch: usize) -> Option<GanFault> {
         match self.gan_fault_epoch {
@@ -286,11 +274,9 @@ mod tests {
         assert!(!plan.is_empty());
         assert!((0..40).any(|k| plan.torn_write(k)));
         assert!((0..40).any(|k| plan.artifact_bitflip(k)));
-        assert!((0..40).any(|k| plan.stale_lock(k)));
         // Clean plans never fire them.
         let none = FaultPlan::none(5);
-        assert!((0..1000)
-            .all(|k| !none.torn_write(k) && !none.artifact_bitflip(k) && !none.stale_lock(k)));
+        assert!((0..1000).all(|k| !none.torn_write(k) && !none.artifact_bitflip(k)));
     }
 
     #[test]

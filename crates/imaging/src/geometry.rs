@@ -153,11 +153,6 @@ impl BBox {
         }
     }
 
-    /// Translate by `(dx, dy)`.
-    pub fn translated(&self, dx: f32, dy: f32) -> BBox {
-        BBox::new(self.x + dx, self.y + dy, self.w, self.h)
-    }
-
     /// Grow (or shrink, for negative margins) the box by `margin` on every
     /// side, keeping the center fixed.
     pub fn inflated(&self, margin: f32) -> BBox {

@@ -116,11 +116,6 @@ impl GrayImage {
         &mut self.data
     }
 
-    /// Consume the image, returning its pixel buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Pixel at `(x, y)`. Panics when out of bounds (debug-friendly; hot
     /// paths use [`GrayImage::row`] slices instead).
     #[inline]

@@ -76,7 +76,7 @@ pub const ENGINE_FILES: &[&str] = &[
 ];
 
 /// Files where the C1 `lock-discipline` rule applies: the memory store and
-/// disk tier of the runtime (Mutex + advisory pid lock), the imaging
+/// disk tier of the runtime, the imaging
 /// engine's hot-path cache — the prepared-pattern fitted-variant cache —
 /// and the feature engine's per-image slots and spare list.
 pub fn lock_scope(rel_path: &str) -> bool {

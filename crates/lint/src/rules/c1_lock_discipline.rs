@@ -1,28 +1,19 @@
 //! C1: lock discipline in the runtime store/disk tier, the imaging
 //! prepared-pattern cache and the feature engine's image slots.
 //!
-//! Three invariants, all over the workspace call graph:
+//! Two invariants, all over the workspace call graph:
 //!
 //! 1. **One partial order.** Acquiring lock B while holding lock A adds
 //!    the edge A→B (including acquisitions inside callees, via per-fn
 //!    transitive summaries); any cycle in that graph is a potential
 //!    deadlock and is reported.
-//! 2. **The advisory pid lock may not be held across `?`.** The lock is
-//!    a `create_new` file owned by a live pid — an early exit leaks it,
-//!    and since the owner is alive the stale-lock breaker will never
-//!    reclaim it: every later save from this process is silently skipped.
-//! 3. **No `?` while two RAII guards are held.** A single guard across
+//! 2. **No `?` while two RAII guards are held.** A single guard across
 //!    `?` is fine (drop unlocks it); two means the early exit's drop
 //!    order is an implicit lock-order commitment no one reviewed.
 //!
 //! Acquisition is recognized structurally: `.lock()` method calls
-//! (plus `.read()`/`.write()` on receivers that name a lock), helper
-//! methods whose own body acquires (`Store::lock`), and
-//! `OpenOptions…create_new(true)…open(..)` chains for the advisory lock.
-//! `match` arms are classified by their pattern tokens: an arm matching
-//! `Err`/`false`/`None` observed the failed acquisition and holds
-//! nothing; other arms hold the lock, and an arm that falls through
-//! leaves it held for the statements after the `match`.
+//! (plus `.read()`/`.write()` on receivers that name a lock) and helper
+//! methods whose own body acquires (`Store::lock`).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,9 +22,6 @@ use crate::callgraph::CallGraph;
 use crate::context::{lock_scope, FileContext};
 use crate::report::Diagnostic;
 use crate::symbols::{Resolution, Symbols};
-
-/// Identity of the `create_new` pid-lock file.
-const ADVISORY: &str = "advisory-pid-lock";
 
 /// Depth bound for per-fn transitive acquire summaries.
 const MAX_SUMMARY_DEPTH: usize = 4;
@@ -127,7 +115,6 @@ pub fn check(ctxs: &[FileContext], sy: &Symbols, graph: &CallGraph, out: &mut Ve
 struct State {
     /// Held RAII guards: (lock identity, binding name, acquire token).
     held: Vec<(String, String, usize)>,
-    advisory: bool,
 }
 
 struct Pass<'a, 'w> {
@@ -155,7 +142,7 @@ impl Pass<'_, '_> {
                         } else {
                             self.leaf_effects(init, state);
                             if let Some((id, tok)) = self.acquire_in(init) {
-                                self.order_edges_to(&id, tok, state);
+                                self.order_edge(&id, tok, state);
                                 if let LetPat::Name { name, .. } = &l.pat {
                                     state.held.push((id, name.clone(), tok));
                                 }
@@ -173,7 +160,7 @@ impl Pass<'_, '_> {
                         self.leaf_effects(&es.expr, state);
                         if let Some((id, tok)) = self.acquire_in(&es.expr) {
                             // Temporary guard: orders, but is not held after.
-                            self.order_edges_to(&id, tok, state);
+                            self.order_edge(&id, tok, state);
                         }
                     }
                     self.stmt_releases(es.span, state);
@@ -208,15 +195,11 @@ impl Pass<'_, '_> {
                 true
             }
             ExprKind::Match { scrutinee, arms } => {
-                if span_has(self.ctx, scrutinee.span, &["acquire_lock", "create_new"]) {
-                    self.advisory_match(scrutinee, arms, state);
-                } else {
-                    self.leaf_effects(scrutinee, state);
-                    for (_, arm) in arms {
-                        let mut branch = state.clone();
-                        if !self.structured(arm, &mut branch) {
-                            self.leaf_effects(arm, &mut branch);
-                        }
+                self.leaf_effects(scrutinee, state);
+                for (_, arm) in arms {
+                    let mut branch = state.clone();
+                    if !self.structured(arm, &mut branch) {
+                        self.leaf_effects(arm, &mut branch);
                     }
                 }
                 true
@@ -225,43 +208,13 @@ impl Pass<'_, '_> {
         }
     }
 
-    /// A `match` whose scrutinee attempts the advisory lock: arms whose
-    /// pattern observed failure (`Err`/`false`/`None`) hold nothing; the
-    /// rest run — and may fall through — with the lock held.
-    fn advisory_match(&mut self, scrutinee: &Expr, arms: &[(Span, Expr)], state: &mut State) {
-        self.leaf_effects(scrutinee, state);
-        self.order_edges_to(ADVISORY, scrutinee.span.lo, state);
-        let mut falls_through_held = false;
-        for (pat, arm) in arms {
-            let failed = span_has(self.ctx, *pat, &["Err", "false", "None"]);
-            let mut branch = state.clone();
-            branch.advisory = branch.advisory || !failed;
-            if !self.structured(arm, &mut branch) {
-                self.leaf_effects(arm, &mut branch);
-            }
-            if !failed && !diverges(arm) {
-                falls_through_held = true;
-            }
-        }
-        state.advisory = state.advisory || falls_through_held;
-    }
-
     /// Leaf-statement effects: flag `?` under locks and record order
     /// edges for acquisitions inside callees (per-fn summaries).
     fn leaf_effects(&mut self, e: &Expr, state: &mut State) {
         let mut trys: Vec<usize> = Vec::new();
         scan_trys(e, &mut trys);
         for tok in trys {
-            if state.advisory {
-                self.diag(
-                    tok,
-                    "`?` can exit while the advisory pid lock is held — the lock file \
-                     is owned by a live pid, so the stale-lock breaker never reclaims \
-                     it and every later save from this process is silently skipped; \
-                     release the lock before propagating the error"
-                        .to_string(),
-                );
-            } else if state.held.len() >= 2 {
+            if state.held.len() >= 2 {
                 let names: Vec<&str> = state.held.iter().map(|(id, _, _)| id.as_str()).collect();
                 self.diag(
                     tok,
@@ -276,7 +229,7 @@ impl Pass<'_, '_> {
             }
         }
         // Acquisitions performed by callees, from the summaries.
-        if state.held.is_empty() && !state.advisory {
+        if state.held.is_empty() {
             return;
         }
         let callee_acquires: Vec<(usize, String)> = self
@@ -294,11 +247,7 @@ impl Pass<'_, '_> {
         }
     }
 
-    /// Record A→`to` for every held lock A (and the advisory lock).
-    fn order_edges_to(&mut self, to: &str, tok: usize, state: &State) {
-        self.order_edge(to, tok, state);
-    }
-
+    /// Record A→`to` for every held lock A.
     fn order_edge(&mut self, to: &str, tok: usize, state: &State) {
         for (a, _, _) in &state.held {
             if a != to {
@@ -306,11 +255,6 @@ impl Pass<'_, '_> {
                     .entry((a.clone(), to.to_string()))
                     .or_insert((self.fi, tok));
             }
-        }
-        if state.advisory && to != ADVISORY {
-            self.edges
-                .entry((ADVISORY.to_string(), to.to_string()))
-                .or_insert((self.fi, tok));
         }
     }
 
@@ -360,13 +304,10 @@ impl Pass<'_, '_> {
         found
     }
 
-    /// End-of-statement releases: `drop(guard)` and advisory
-    /// `remove_file`, recognized over the statement's tokens.
+    /// End-of-statement releases: `drop(guard)`, recognized over the
+    /// statement's tokens.
     fn stmt_releases(&mut self, span: Span, state: &mut State) {
         let toks = span.tokens(self.ctx.tokens);
-        if toks.iter().any(|t| t.is_ident("remove_file")) {
-            state.advisory = false;
-        }
         for (i, t) in toks.iter().enumerate() {
             if t.is_ident("drop") && toks.get(i + 1).is_some_and(|t| t.is_punct("(")) {
                 if let Some(arg) = toks.get(i + 2) {
@@ -388,8 +329,7 @@ impl Pass<'_, '_> {
     }
 }
 
-/// Direct acquisitions in the body of `si`: RAII guards on `self` fields
-/// and advisory `create_new` chains.
+/// Direct acquisitions in the body of `si`: RAII guards on `self` fields.
 fn direct_acquires(ctxs: &[FileContext], sy: &Symbols, si: usize) -> Vec<(String, usize)> {
     let s = &sy.fns[si];
     let ctx = &ctxs[s.file];
@@ -405,10 +345,6 @@ fn direct_acquires(ctxs: &[FileContext], sy: &Symbols, si: usize) -> Vec<(String
         else {
             return;
         };
-        if method == "create_new" {
-            acquires.push((ADVISORY.to_string(), *method_tok));
-            return;
-        }
         let is_lock = method == "lock"
             || ((method == "read" || method == "write")
                 && span_has(ctx, recv.span, &["lock", "rw"]));
@@ -475,23 +411,6 @@ fn scan_trys(e: &Expr, out: &mut Vec<usize>) {
         ExprKind::Jump(Some(i)) => scan_trys(i, out),
         ExprKind::LetCond { expr, .. } => scan_trys(expr, out),
         _ => {}
-    }
-}
-
-/// Does every path through `e` leave the enclosing fn or loop?
-/// (Conservative: only plain jumps and blocks ending in one.)
-fn diverges(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Jump(_) => true,
-        ExprKind::Try(inner) => diverges(inner),
-        ExprKind::BlockExpr(b) => {
-            b.stmts.iter().rev().find_map(|s| match s {
-                Stmt::Expr(es) => Some(diverges(&es.expr)),
-                Stmt::Let(_) => Some(false),
-                _ => None,
-            }) == Some(true)
-        }
-        _ => false,
     }
 }
 

@@ -181,9 +181,8 @@ pub fn rule_catalog() -> Vec<RuleInfo> {
             name: "lock-discipline",
             family: "stage-contract",
             scope: "runtime store/disk, the imaging prepared-pattern cache and the feature engine's image slots",
-            description: "lock acquisition must follow one partial order (no cycles), `?` must \
-                 not fire while the advisory pid lock is held (the lock file leaks), \
-                 and no early exit may hold two guards at once",
+            description: "lock acquisition must follow one partial order (no cycles), and no \
+                 early exit may hold two guards at once",
         },
         RuleInfo {
             id: "D1",

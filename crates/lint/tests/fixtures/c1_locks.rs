@@ -1,7 +1,6 @@
-//! C1 fixture: `?` under held guards, `?` under the advisory pid lock,
-//! and a two-lock ordering cycle. Linted as a lock-scope path.
+//! C1 fixture: `?` under held guards and a two-lock ordering cycle.
+//! Linted as a lock-scope path.
 
-use std::io::Write as _;
 use std::sync::Mutex;
 
 pub struct Store {
@@ -28,19 +27,6 @@ impl Store {
     pub fn backward(&self) {
         let _b = self.journal.lock();
         let _a = self.index.lock();
-    }
-
-    pub fn stamp(&self, lock: &std::path::Path) -> Result<(), std::io::Error> {
-        match std::fs::OpenOptions::new().write(true).create_new(true).open(lock) {
-            Ok(mut file) => {
-                file.write_all(b"1")?;
-                if std::fs::remove_file(lock).is_err() {
-                    return Ok(());
-                }
-            }
-            Err(_) => return Ok(()),
-        }
-        Ok(())
     }
 
     pub fn disciplined(&self) -> Result<u64, std::io::Error> {

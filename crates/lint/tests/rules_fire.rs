@@ -195,13 +195,12 @@ fn c1_lock_discipline_fires_at_expected_lines() {
         FileClass::Library,
         false,
     );
-    // 15: Store.index→Store.journal ordering that `backward()` reverses
-    // (cycle); 16: `?` with both guards held; 36: `?` under the advisory
-    // pid lock. `disciplined()` (read before lock, drop before return) is
-    // silent.
+    // 14: Store.index→Store.journal ordering that `backward()` reverses
+    // (cycle); 15: `?` with both guards held. `disciplined()` (read before
+    // lock, drop before return) is silent.
     assert_eq!(
         lines_for(&diags, "lock-discipline"),
-        vec![15, 16, 36],
+        vec![14, 15],
         "diags: {diags:#?}"
     );
 }

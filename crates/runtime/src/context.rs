@@ -10,7 +10,7 @@ use ig_faults::{FaultPlan, HealthReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::disk::{DiskStore, Flight};
+use crate::disk::DiskStore;
 use crate::fingerprint::{Fingerprint, FingerprintHasher, Fingerprintable};
 use crate::stage::Stage;
 use crate::store::ArtifactStore;
@@ -181,16 +181,14 @@ impl RunContext {
     /// The stage is looked up in the in-memory tier first; a hit returns
     /// the original artifact. On a miss, a stage that declares
     /// [`Stage::durable`] under a context with a [`DiskStore`] attached
-    /// goes through [`DiskStore::begin_flight`]: a verified artifact on
-    /// disk is decoded via [`Stage::decode`] and promoted into memory;
-    /// otherwise the first process to claim the key computes and
-    /// publishes it via [`Stage::encode`], while concurrent processes wait
-    /// and read the published artifact back, so each artifact is computed
-    /// once per store root, not once per process. The durable tier's
-    /// encode/decode contract plus checksum verification make a disk hit
-    /// bit-identical to a recompute. Every other miss runs the stage once
-    /// and never touches the disk. A failed stage's error is returned as
-    /// is: nothing is cached, published or recorded in the health report.
+    /// reads through the disk: a verified artifact is decoded via
+    /// [`Stage::decode`] and promoted into memory; otherwise the stage
+    /// runs and its output is saved via [`Stage::encode`] and
+    /// [`DiskStore::save`]. The durable tier's encode/decode contract plus
+    /// checksum verification make a disk hit bit-identical to a
+    /// recompute. Every other miss runs the stage once and never touches
+    /// the disk. A failed stage's error is returned as is: nothing is
+    /// cached, saved or recorded in the health report.
     pub fn run<S: Stage>(&self, stage: &mut S) -> Result<Arc<S::Output>, S::Error> {
         let key = self.cache_key_for(stage);
         if let Some(artifact) = self.store.get(stage.id(), key) {
@@ -201,7 +199,7 @@ impl RunContext {
             }
         }
         match self.store.disk().filter(|_| stage.durable()) {
-            Some(disk) => self.run_flight(disk, stage, key),
+            Some(disk) => self.run_durable(disk, stage, key),
             None => self.compute(stage, key),
         }
     }
@@ -217,50 +215,35 @@ impl RunContext {
         Ok(output)
     }
 
-    /// Single-flight read-through for a durable stage: read the published
-    /// artifact, or claim production and publish, or wait for the process
-    /// already producing it (see [`DiskStore::begin_flight`]).
-    fn run_flight<S: Stage>(
+    /// Read-through for a durable stage: decode the saved artifact, or
+    /// compute the output and save it.
+    fn run_durable<S: Stage>(
         &self,
         disk: &DiskStore,
         stage: &mut S,
         key: Fingerprint,
     ) -> Result<Arc<S::Output>, S::Error> {
-        // A verified payload that fails to decode was written by an
-        // incompatible codec. Quarantining it clears the slot, so the
-        // second round claims production and rewrites it cleanly.
-        for _ in 0..2 {
-            match disk.begin_flight(stage.id(), key, self.plan.as_ref(), &self.health) {
-                Flight::Ready(bytes) => match stage.decode(&bytes) {
-                    Some(output) => {
-                        let output = Arc::new(output);
-                        self.store.insert(stage.id(), key, output.clone());
-                        return Ok(output);
-                    }
-                    None => disk.quarantine_artifact(
-                        stage.id(),
-                        key,
-                        "verified payload failed to decode (stale codec?)",
-                        &self.health,
-                    ),
-                },
-                Flight::Producer(claim) => {
-                    // A failed execute drops `claim` unpublished, releasing
-                    // the lock so a waiting process inherits production.
-                    let output = self.compute(stage, key)?;
-                    match stage.encode(&output) {
-                        Some(bytes) => {
-                            claim.publish(&bytes, self.plan.as_ref(), &self.health);
-                        }
-                        // `durable()` promised an encode; tolerate a refusal
-                        // by releasing the claim unpublished.
-                        None => drop(claim),
-                    }
-                    return Ok(output);
-                }
+        if let Some(bytes) = disk.load(stage.id(), key, &self.health) {
+            if let Some(output) = stage.decode(&bytes) {
+                let output = Arc::new(output);
+                self.store.insert(stage.id(), key, output.clone());
+                return Ok(output);
             }
+            // A verified payload that fails to decode was written by an
+            // incompatible codec: move it aside, then rewrite it below.
+            disk.quarantine_artifact(
+                stage.id(),
+                key,
+                "verified payload failed to decode (stale codec?)",
+                &self.health,
+            );
         }
-        self.compute(stage, key)
+        let output = self.compute(stage, key)?;
+        // `durable()` promised an encode; a refusal just saves nothing.
+        if let Some(bytes) = stage.encode(&output) {
+            disk.save(stage.id(), key, &bytes, self.plan.as_ref(), &self.health);
+        }
+        Ok(output)
     }
 
     /// Run the stage once, attributing its salt draws to its id.
@@ -586,14 +569,14 @@ mod tests {
         assert!(ctx.health().is_clean());
     }
 
-    /// Every `.lock` file under `dir`, at any depth.
-    fn lock_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    /// Every file under `dir` with extension `ext`, at any depth.
+    fn files_with_extension(dir: &std::path::Path, ext: &str) -> Vec<std::path::PathBuf> {
         let mut found = Vec::new();
         for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
             let path = entry.path();
             if path.is_dir() {
-                found.extend(lock_files(&path));
-            } else if path.extension().is_some_and(|ext| ext == "lock") {
+                found.extend(files_with_extension(&path, ext));
+            } else if path.extension().is_some_and(|e| e == ext) {
                 found.push(path);
             }
         }
@@ -601,7 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn failing_durable_stage_publishes_nothing_and_releases_its_claim() {
+    fn failing_durable_stage_saves_nothing() {
         let disk = temp_disk("failing");
         let calls = AtomicUsize::new(0);
         let ctx = RunContext::new(3).with_disk(disk.clone());
@@ -616,17 +599,15 @@ mod tests {
             Err("injected failure")
         );
         assert_eq!(calls.load(Ordering::Relaxed), 1);
-        assert_eq!(disk.stats().writes, 0, "a failed stage publishes nothing");
-        assert!(lock_files(disk.root()).is_empty(), "the claim was released");
+        assert_eq!(disk.stats().writes, 0, "a failed stage saves nothing");
         assert!(ctx.store().is_empty());
 
-        // A later successful run claims the same key and publishes it...
+        // A later successful run computes the same key and saves it...
         stage.fail = false;
         let output = ctx.run(&mut stage).map(|v| v.to_vec());
         assert_eq!(output, Ok(vec![8, 10]));
         assert_eq!(calls.load(Ordering::Relaxed), 2);
         assert_eq!(disk.stats().writes, 1);
-        assert!(lock_files(disk.root()).is_empty());
 
         // ...and a fresh context reads it back as a disk hit.
         let resumed = RunContext::new(3).with_disk(disk.clone());
@@ -705,38 +686,46 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_durable_runs_share_one_flight() {
-        // Two contexts with *separate* memory stores over one disk root
-        // stand in for two processes: the durable stage must execute once
-        // — one producer, everyone else waits and decodes.
-        let disk = temp_disk("flight");
+    fn racing_durable_runs_leave_one_verified_artifact() {
+        // Three contexts with *separate* memory stores over one disk root
+        // stand in for three processes racing on one key. Each may
+        // compute and save; content addressing makes every save write the
+        // same bytes, so the race wastes work but never corrupts.
+        let disk = temp_disk("race");
         let calls = AtomicUsize::new(0);
+        let stage = || DurableDoubler {
+            input: vec![6, 7],
+            calls: &calls,
+        };
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..3)
                 .map(|_| {
                     scope.spawn(|| {
                         let ctx = RunContext::new(11).with_disk(disk.clone());
-                        let mut stage = DurableDoubler {
-                            input: vec![6, 7],
-                            calls: &calls,
-                        };
-                        crate::infallible(ctx.run(&mut stage)).as_ref().clone()
+                        let out = crate::infallible(ctx.run(&mut stage()));
+                        (out.as_ref().clone(), ctx.health().is_clean())
                     })
                 })
                 .collect();
             for worker in workers {
                 match worker.join() {
-                    Ok(out) => assert_eq!(out, vec![12, 14]),
+                    Ok((out, clean)) => {
+                        assert_eq!(out, vec![12, 14]);
+                        assert!(clean, "a race is never recorded as corruption");
+                    }
                     Err(_) => panic!("worker panicked"),
                 }
             }
         });
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            1,
-            "single-flight: exactly one producer per store root"
-        );
-        assert_eq!(disk.stats().writes, 1);
+        let root = disk.root();
+        assert_eq!(files_with_extension(root, "art").len(), 1);
+        assert!(files_with_extension(root, "tmp").is_empty());
+        // The artifact that remains verifies and decodes.
+        let reader = RunContext::new(11).with_disk(disk.clone());
+        let executed = calls.load(Ordering::Relaxed);
+        assert_eq!(*crate::infallible(reader.run(&mut stage())), vec![12, 14]);
+        assert_eq!(calls.load(Ordering::Relaxed), executed, "served from disk");
+        assert_eq!(disk.stats().quarantined, 0);
     }
 
     #[test]
@@ -790,14 +779,11 @@ mod tests {
         // A checksum-valid artifact whose payload this codec cannot read,
         // as an older build of the stage would have left it.
         let key = ctx.cache_key_for(&stage);
-        match disk.begin_flight(stage.id(), key, None, ctx.health()) {
-            Flight::Producer(claim) => assert!(claim.publish(b"old", None, ctx.health())),
-            Flight::Ready(_) => panic!("fresh store cannot be ready"),
-        }
+        assert!(disk.save(stage.id(), key, b"old", None, ctx.health()));
         assert_eq!(*crate::infallible(ctx.run(&mut stage)), vec![10]);
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert_eq!(ctx.health().count(FaultKind::ArtifactCorruption), 1);
-        assert_eq!(disk.stats().writes, 2, "the recompute was republished");
+        assert_eq!(disk.stats().writes, 2, "the recompute was saved again");
         // The rewritten artifact decodes: a restarted process hits it.
         let resumed = RunContext::new(4).with_disk(disk.clone());
         assert_eq!(*crate::infallible(resumed.run(&mut stage)), vec![10]);

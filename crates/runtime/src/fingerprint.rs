@@ -296,7 +296,6 @@ impl Fingerprintable for FaultPlan {
         h.write_f64(self.lbfgs_poison_rate);
         h.write_f64(self.torn_write_rate);
         h.write_f64(self.artifact_bitflip_rate);
-        h.write_f64(self.stale_lock_rate);
         match self.gan_fault_epoch {
             None => h.write_bool(false),
             Some(epoch) => {
@@ -420,10 +419,6 @@ mod tests {
             },
             FaultPlan {
                 artifact_bitflip_rate: 0.1,
-                ..base.clone()
-            },
-            FaultPlan {
-                stale_lock_rate: 0.1,
                 ..base.clone()
             },
         ];

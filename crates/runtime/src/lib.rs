@@ -16,7 +16,7 @@
 //!   computed once per run and shared across experiment arms by
 //!   construction;
 //! * [`DiskStore`]: a crash-safe on-disk tier beneath the memory store
-//!   for stages that declare [`Stage::durable`] (single-flight claims,
+//!   for stages that declare [`Stage::durable`] (read-through loads,
 //!   temp-file + fsync + atomic rename, checksum-verified loads,
 //!   quarantine of corrupt artifacts), which is what makes killed sweeps
 //!   resumable and warm starts possible — see the [`disk`] module docs
@@ -43,7 +43,7 @@ pub mod store;
 
 pub use codec::{Dec, Durable, Enc};
 pub use context::RunContext;
-pub use disk::{DiskStats, DiskStore, Flight, FlightGuard};
+pub use disk::{DiskStats, DiskStore};
 pub use fingerprint::{Fingerprint, FingerprintHasher, Fingerprintable};
 pub use shard::{ShardPlan, ShardSpec};
 pub use stage::Stage;

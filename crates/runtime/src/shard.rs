@@ -22,8 +22,8 @@
 //!   shard `3/4` of the same dataset;
 //! * crash resume — a killed sweep that completed shards `0..k` reloads
 //!   them from the durable tier and recomputes only `k..count`;
-//! * cross-process warm starts — two sweeps over one store root share
-//!   shard artifacts through the disk tier's single-flight protocol.
+//! * warm starts — a later sweep over the same store root reads every
+//!   shard artifact an earlier one saved.
 //!
 //! Shard boundaries are pure functions of `(total, count)` — balanced to
 //! within one item, never dependent on wall clock, thread count, or

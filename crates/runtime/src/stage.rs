@@ -36,12 +36,10 @@ pub trait Stage {
     /// Whether this stage persists to the durable tier *under the current
     /// inputs* — the one switch the runtime reads for persistence. On a
     /// durable stage's memory miss, with a disk attached, the runtime
-    /// opens a single-flight claim
-    /// ([`crate::disk::DiskStore::begin_flight`]): a published artifact is
-    /// read back through [`Stage::decode`], otherwise the output is
-    /// computed and published through [`Stage::encode`], and a concurrent
-    /// process computing the same artifact is waited on instead of
-    /// duplicated. Memory-only stages (the default) never touch the disk.
+    /// reads through the disk: a saved artifact is read back through
+    /// [`Stage::decode`], otherwise the output is computed and saved
+    /// through [`Stage::encode`] and [`crate::disk::DiskStore::save`].
+    /// Memory-only stages (the default) never touch the disk.
     /// Stages whose output under an active fault plan differs from clean
     /// output should return `false` under a non-empty plan, so chaos arms
     /// replay their faults instead of reading them back.

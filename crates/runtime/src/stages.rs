@@ -50,9 +50,6 @@ impl Stage for GenerateDataset {
     }
 
     fn durable(&self) -> bool {
-        // Expensive + persisted: worth a single-flight claim so
-        // concurrent sweeps over one store root generate each dataset
-        // exactly once.
         true
     }
 }

@@ -1,9 +1,9 @@
 //! Property tests for the durable tier's serialization surface: the
 //! artifact file format must round-trip arbitrary payloads bit for bit
-//! through [`DiskStore::begin_flight`] + `FlightGuard::publish` and
-//! [`DiskStore::load`], and any damage — a truncated (torn) file or a
-//! single flipped bit anywhere in the file, header or payload — must be
-//! rejected, quarantined and recorded, never mis-decoded. The typed codec ([`Enc`]/[`Dec`]/[`Durable`]) gets the
+//! through [`DiskStore::save`] and [`DiskStore::load`], and any damage —
+//! a truncated (torn) file or a single flipped bit anywhere in the file,
+//! header or payload — must be rejected, quarantined and recorded, never
+//! mis-decoded. The typed codec ([`Enc`]/[`Dec`]/[`Durable`]) gets the
 //! same treatment over [`Matrix`] and [`GrayImage`] artifacts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -12,7 +12,7 @@ use ig_check::{ensure, ensure_eq, properties};
 use ig_faults::{FaultKind, HealthReport, RecoveryAction};
 use ig_imaging::GrayImage;
 use ig_nn::Matrix;
-use ig_runtime::{Dec, DiskStore, Durable, Enc, Fingerprint, Flight};
+use ig_runtime::{Dec, DiskStore, Durable, Enc, Fingerprint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,21 +29,6 @@ fn fresh_store() -> DiskStore {
     match DiskStore::open(root) {
         Ok(store) => store,
         Err(e) => panic!("store open failed: {e}"),
-    }
-}
-
-/// Write `payload` the only way the store writes: claim the flight and
-/// publish. `false` when the artifact was already on disk.
-fn publish(
-    store: &DiskStore,
-    id: &str,
-    fp: Fingerprint,
-    payload: &[u8],
-    health: &HealthReport,
-) -> bool {
-    match store.begin_flight(id, fp, None, health) {
-        Flight::Producer(claim) => claim.publish(payload, None, health),
-        Flight::Ready(_) => false,
     }
 }
 
@@ -72,7 +57,7 @@ properties! {
         let store = fresh_store();
         let health = HealthReport::new();
         let fp = Fingerprint { lo, hi };
-        ensure!(publish(&store, "prop.payload", fp, &payload, &health));
+        ensure!(store.save("prop.payload", fp, &payload, None, &health));
         ensure_eq!(store.load("prop.payload", fp, &health), Some(payload));
         ensure!(health.is_clean());
     }
@@ -83,7 +68,7 @@ properties! {
         let store = fresh_store();
         let health = HealthReport::new();
         let fp = Fingerprint { lo: 7, hi: 9 };
-        ensure!(publish(&store, "prop.torn", fp, &payload, &health));
+        ensure!(store.save("prop.torn", fp, &payload, None, &health));
         let bytes = read_artifact(&store, "prop.torn", fp);
         write_artifact(&store, "prop.torn", fp, &bytes[..g.gen_range(0..bytes.len())]);
         ensure_eq!(store.load("prop.torn", fp, &health), None);
@@ -103,7 +88,7 @@ properties! {
         let store = fresh_store();
         let health = HealthReport::new();
         let fp = Fingerprint { lo: 3, hi: 5 };
-        ensure!(publish(&store, "prop.flip", fp, &payload, &health));
+        ensure!(store.save("prop.flip", fp, &payload, None, &health));
         let mut bytes = read_artifact(&store, "prop.flip", fp);
         let at = g.gen_range(0..bytes.len());
         bytes[at] ^= 1 << bit;

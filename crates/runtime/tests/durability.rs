@@ -1,7 +1,7 @@
 //! End-to-end durability drills against the public runtime API: a killed
 //! sweep resumes bit-identically from the durable tier, corruption is
 //! quarantined and recomputed through, injected storage faults (torn
-//! writes, bit flips, stale locks) are survived and recorded.
+//! writes, bit flips) are survived and recorded.
 
 use core::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,7 +14,7 @@ use ig_runtime::{
 
 /// Durable stage: output is a pure function of `input` and the
 /// run seed; `calls` counts real executions, so a disk hit (no recompute)
-/// is observable. Persists through the single-flight path like every
+/// is observable. Persists through the read-through path like every
 /// durable stage.
 struct Summer<'a> {
     input: Vec<u64>,
@@ -148,8 +148,8 @@ fn killed_sweep_resumes_bit_identically() {
     assert!(resumed_ctx.health().is_clean());
 }
 
-/// Injected storage faults: a plan tearing, bit-flipping and
-/// stale-locking writes cannot corrupt results. The faulted cold run and
+/// Injected storage faults: a plan tearing and bit-flipping writes
+/// cannot corrupt results. The faulted cold run and
 /// the warm rerun both produce clean outputs, and the health report
 /// names every fault class with its recovery.
 #[test]
@@ -176,7 +176,6 @@ fn injected_store_faults_are_survived_and_recorded() {
         .find(|p| {
             keys.iter().any(|&k| p.torn_write(k))
                 && keys.iter().any(|&k| p.artifact_bitflip(k))
-                && keys.iter().any(|&k| p.stale_lock(k))
                 && keys
                     .iter()
                     .any(|&k| !p.torn_write(k) && !p.artifact_bitflip(k))
@@ -210,16 +209,6 @@ fn injected_store_faults_are_survived_and_recorded() {
         })
         .collect();
     assert_eq!(cold, reference, "faulted writes never affect results");
-    assert!(
-        cold_ctx.health().count(FaultKind::StaleLock) >= 1,
-        "planted stale locks are detected on write"
-    );
-    assert!(
-        cold_ctx
-            .health()
-            .count_action(RecoveryAction::BrokeStaleLock)
-            >= 1
-    );
 
     // Warm pass: a fresh context over the damaged store. Torn and
     // bit-flipped artifacts are quarantined and recomputed; intact ones

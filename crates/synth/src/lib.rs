@@ -57,31 +57,6 @@ impl TaskType {
     }
 }
 
-/// The defect morphologies used across the five datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DefectKind {
-    /// KSDD jagged crack.
-    Crack,
-    /// Product long thin scratch.
-    Scratch,
-    /// Product small round bubble.
-    Bubble,
-    /// Product fixed-position stamping.
-    Stamping,
-    /// NEU texture classes.
-    RolledInScale,
-    /// NEU patches.
-    Patches,
-    /// NEU crazing.
-    Crazing,
-    /// NEU pitted surface.
-    PittedSurface,
-    /// NEU inclusion.
-    Inclusion,
-    /// NEU scratches (distinct morphology from Product scratches).
-    NeuScratch,
-}
-
 /// One generated image with its gold annotations.
 #[derive(Debug, Clone)]
 pub struct LabeledImage {
